@@ -31,7 +31,7 @@ _AA3 = {
 _BASES = "ACGT"
 
 
-class _DocBuilder:
+class _DocWriter:
     """Appends text pieces to an abstract and records planted mentions.
 
     Offsets are kept in UTF-8 bytes of ``title + " " + abstract``.
@@ -292,7 +292,7 @@ _TAILS = [
 ]
 
 
-def _filler_sentence(rng: random.Random, b: _DocBuilder, genes: list[str]) -> None:
+def _filler_sentence(rng: random.Random, b: _DocWriter, genes: list[str]) -> None:
     """One sentence of prose with no variant mention.  Every word is kept
     as a candidate span for spurious predictions."""
     b.word(rng.choice(_SUBJECTS))
@@ -310,7 +310,7 @@ def _filler_sentence(rng: random.Random, b: _DocBuilder, genes: list[str]) -> No
     b.text("). ")
 
 
-def _variant_sentence(rng: random.Random, b: _DocBuilder, rec: dict) -> None:
+def _variant_sentence(rng: random.Random, b: _DocWriter, rec: dict) -> None:
     """One sentence naming a KB record in one of three spellings, with its
     gene in the same sentence."""
     gene = rec["gene"]
@@ -343,7 +343,7 @@ def pubmed_sparse(n_docs: int, seed: int, kb_rows: list[dict],
     rng = random.Random(seed)
     docs = []
     for i in range(n_docs):
-        b = _DocBuilder(f"s{i}", _prose_title(rng))
+        b = _DocWriter(f"s{i}", _prose_title(rng))
         variant_slots = set()
         if rng.random() < 0.1:
             variant_slots = set(rng.sample(range(8), rng.randint(1, 3)))
@@ -363,7 +363,7 @@ def pubmed_sparse(n_docs: int, seed: int, kb_rows: list[dict],
 
 # -- fulltext ----------------------------------------------------------------------
 
-def _dense_sentence(rng: random.Random, b: _DocBuilder, rec: dict) -> None:
+def _dense_sentence(rng: random.Random, b: _DocWriter, rec: dict) -> None:
     """Mention-dense sentence over the seven spellings of one record: gene
     plus protein, DNA HGVS, rs number, fused gene+protein, three-letter
     protein, bare position and bare change."""
@@ -410,7 +410,7 @@ def fulltext(n_docs: int, seed: int, kb_rows: list[dict], genes: list[str]):
     rng = random.Random(seed)
     docs = []
     for i in range(n_docs):
-        b = _DocBuilder(f"f{i}", _prose_title(rng))
+        b = _DocWriter(f"f{i}", _prose_title(rng))
         records = rng.sample(kb_rows, rng.randint(20, 40))
         target = fulltext_size(i)
         while b.size < target:
@@ -453,7 +453,7 @@ def evaluate_corpora(n_docs: int, seed: int):
     gold_docs, pred_docs, expected = [], [], []
     next_id = 1
     for i in range(n_docs):
-        b = _DocBuilder(f"e{i}", _prose_title(rng))
+        b = _DocWriter(f"e{i}", _prose_title(rng))
         while b.size < 6000:
             if rng.random() < 0.7:
                 gene = f"GEN{rng.randint(1, 99)}"

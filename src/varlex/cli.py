@@ -14,7 +14,13 @@ import os
 import sys
 from typing import TextIO
 
-from .corpus import Document, read_pubtator, read_pubtator_text, write_pubtator
+from .corpus import (
+    Document,
+    _open_text,
+    read_pubtator,
+    read_pubtator_text,
+    write_pubtator,
+)
 from .errors import (
     DuplicateKey,
     FileUnreadable,
@@ -99,22 +105,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _OutputUnwritable(Exception):
+    """The output path cannot be opened or written; exits 2."""
+
+
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise FileUnreadable(path, str(exc)) from exc
+    fh, _ = _open_text(path)
+    with fh:
+        return fh.read()
 
 
 def _write_output(path: str, content: str) -> None:
     if path == "-":
         sys.stdout.write(content)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(content)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(content)
+    except OSError as exc:
+        raise _OutputUnwritable(f"cannot write {path}: {exc}") from exc
 
 
 def _text_documents(content: str) -> list[Document]:
@@ -207,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except FileUnreadable as exc:
+    except (FileUnreadable, _OutputUnwritable) as exc:
         print(f"varlex: {exc}", file=sys.stderr)
         return 2
     except (

@@ -5,11 +5,18 @@ share a knowledge-base record, or when one is the incomplete form of the
 other ("P799" next to "P799L").  Groups are the transitive closure of those
 links; every member then reports the most specific identifier the group
 reached together.
+
+Links are found by key, not by testing every pair: each mention joins the
+first mention seen with its rendered id or with any of its KB records.
+Only the prefix link is tested pairwise, and only inside a bucket of
+substitutions sharing (level, position, wild-type).  One pass builds the
+closure and, over fully specified members, the finer closure that decides
+ambiguity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .hgvs import EditKind, VariantDescriptor
 from .kb import KnowledgeBase
@@ -89,56 +96,56 @@ def group_mentions(
     ambiguous when fully-specified members point at conflicting variants.
     """
     n = len(mentions)
-    record_sets = []
-    for m in mentions:
-        if isinstance(m.descriptor, VariantDescriptor):
-            records = candidate_records(kb, _effective_gene(m), m.descriptor)
-        elif m.identifier and m.identifier.startswith("rs"):
-            records = kb.lookup_rsid(m.identifier)
-        else:
-            records = []
-        record_sets.append(frozenset(records))
-
-    uf = _UnionFind(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _linked(mentions[i], ids[i], record_sets[i],
-                       mentions[j], ids[j], record_sets[j]):
-                uf.union(i, j)
+    closure = _UnionFind(n)
+    # The same-id and shared-record links again, among decided members only
+    # (an id, and a fully specified variant).  A group whose decided members
+    # span more than one root of this second closure is ambiguous.
+    decided = _UnionFind(n)
+    is_decided = [False] * n
+    first: dict = {}  # link key -> first mention carrying it
+    first_decided: dict = {}
+    buckets: dict[tuple, list[int]] = {}  # (level, position, wild type)
+    for i, (m, nid) in enumerate(zip(mentions, ids)):
+        d = m.descriptor
+        is_decided[i] = nid.kind is not IdKind.UNNORMALIZED and not (
+            isinstance(d, VariantDescriptor) and d.is_incomplete
+        )
+        for key in _link_keys(m, nid, kb):
+            closure.union(i, first.setdefault(key, i))
+            if is_decided[i]:
+                decided.union(i, first_decided.setdefault(key, i))
+        if isinstance(d, VariantDescriptor) and d.edit_kind is EditKind.SUBSTITUTION:
+            bucket = buckets.setdefault((d.level, d.position, d.ref_allele), [])
+            for j in bucket:
+                other = mentions[j]
+                if is_prefix_compatible(other.descriptor, d) and _genes_agree(other, m):
+                    closure.union(j, i)
+            bucket.append(i)
 
     clusters: dict[int, list[int]] = {}
     for i in range(n):
-        clusters.setdefault(uf.find(i), []).append(i)
+        clusters.setdefault(closure.find(i), []).append(i)
 
     groups = []
     for root in sorted(clusters):
-        members = tuple(sorted(clusters[root]))
-        group_id = _best_id(members, ids)
-        ambiguous = _is_ambiguous(members, mentions, ids, record_sets)
-        groups.append(VariantGroup(members, group_id, ambiguous))
+        members = tuple(clusters[root])
+        identities = {decided.find(i) for i in members if is_decided[i]}
+        ambiguous = len(identities) > 1 or any(ids[i].ambiguous for i in members)
+        groups.append(VariantGroup(members, _best_id(members, ids), ambiguous))
     return groups
 
 
-def _linked(
-    ma: Mention, ia: NormalizedId, ra: frozenset,
-    mb: Mention, ib: NormalizedId, rb: frozenset,
-) -> bool:
-    if (
-        ia.kind is not IdKind.UNNORMALIZED
-        and ib.kind is not IdKind.UNNORMALIZED
-        and ia.render() == ib.render()
-    ):
-        return True
-    if ra & rb:
-        return True
-    if (
-        isinstance(ma.descriptor, VariantDescriptor)
-        and isinstance(mb.descriptor, VariantDescriptor)
-        and is_prefix_compatible(ma.descriptor, mb.descriptor)
-        and _genes_agree(ma, mb)
-    ):
-        return True
-    return False
+def _link_keys(m: Mention, nid: NormalizedId, kb: KnowledgeBase) -> list:
+    """The KB records ``m`` could mean, plus its rendered id if it has one."""
+    if isinstance(m.descriptor, VariantDescriptor):
+        keys = list(candidate_records(kb, _effective_gene(m), m.descriptor))
+    elif m.identifier and m.identifier.startswith("rs"):
+        keys = list(kb.lookup_rsid(m.identifier))
+    else:
+        keys = []
+    if nid.kind is not IdKind.UNNORMALIZED:
+        keys.append(nid.render())
+    return keys
 
 
 def _best_id(members: tuple[int, ...], ids: list[NormalizedId]) -> NormalizedId:
@@ -148,38 +155,6 @@ def _best_id(members: tuple[int, ...], ids: list[NormalizedId]) -> NormalizedId:
         (ids[i] for i in members),
         key=lambda nid: (-nid.kind, nid.render()),
     )
-
-
-def _is_ambiguous(
-    members: tuple[int, ...],
-    mentions: list[Mention],
-    ids: list[NormalizedId],
-    record_sets: list[frozenset],
-) -> bool:
-    if any(ids[i].ambiguous for i in members):
-        return True
-    # Count distinct identities among members that fully specify a variant;
-    # identities merge when renderings match or KB records overlap.
-    decided = []
-    for i in members:
-        if ids[i].kind is IdKind.UNNORMALIZED:
-            continue
-        d = mentions[i].descriptor
-        if isinstance(d, VariantDescriptor) and d.is_incomplete:
-            continue
-        decided.append(i)
-    if len(decided) < 2:
-        return False
-    uf = _UnionFind(len(decided))
-    for a in range(len(decided)):
-        for b in range(a + 1, len(decided)):
-            i, j = decided[a], decided[b]
-            if ids[i].render() == ids[j].render() or (
-                record_sets[i] & record_sets[j]
-            ):
-                uf.union(a, b)
-    roots = {uf.find(k) for k in range(len(decided))}
-    return len(roots) > 1
 
 
 def propagated_ids(
@@ -192,16 +167,7 @@ def propagated_ids(
     for group in groups:
         if group.group_id.kind is IdKind.UNNORMALIZED:
             continue
-        shared = NormalizedId(
-            kind=group.group_id.kind,
-            ca=group.group_id.ca,
-            rsid=group.group_id.rsid,
-            ref=group.group_id.ref,
-            alt=group.group_id.alt,
-            gene=group.group_id.gene,
-            hgvs=group.group_id.hgvs,
-            ambiguous=group.ambiguous,
-        )
+        shared = replace(group.group_id, ambiguous=group.ambiguous)
         for i in group.members:
             out[i] = shared
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .errors import NoSeparator, ParseFailure, UnknownResidue
 
@@ -930,6 +930,24 @@ for _rule in GRAMMAR_RULES:
     RULES_BY_TYPE[_rule.mtype] = RULES_BY_TYPE[_rule.mtype] + (_rule,)
 
 
+def _full_matches(
+    surface: str, rules: Iterable[GrammarRule]
+) -> Iterator[tuple[GrammarRule, re.Match]]:
+    """Yield ``(rule, match)`` for each rule matching all of ``surface``, in
+    rule order; once none is left, raise :class:`ParseFailure` at the end of
+    the longest prefix any other rule matched."""
+    best = 0
+    for rule in rules:
+        m = rule.rx.fullmatch(surface)
+        if m is not None:
+            yield rule, m
+            continue
+        prefix = rule.rx.match(surface)
+        if prefix is not None:
+            best = max(best, prefix.end())
+    raise ParseFailure(surface, best)
+
+
 def parse_descriptor(surface: str, hint: MentionType) -> Descriptor:
     """Parse ``surface`` under the grammar for ``hint``.
 
@@ -939,18 +957,11 @@ def parse_descriptor(surface: str, hint: MentionType) -> Descriptor:
     if hint in IDENTIFIER_TYPES:
         raise ValueError(f"{hint.name} mentions carry identifiers; "
                          "use parse_identifier")
-    best = 0
-    for rule in RULES_BY_TYPE[hint]:
-        m = rule.rx.fullmatch(surface)
-        if m is not None:
-            try:
-                return rule.build(m)
-            except ValueError as exc:
-                raise ParseFailure(surface, 0, str(exc)) from exc
-        prefix = rule.rx.match(surface)
-        if prefix is not None:
-            best = max(best, prefix.end())
-    raise ParseFailure(surface, best)
+    rule, m = next(_full_matches(surface, RULES_BY_TYPE[hint]))
+    try:
+        return rule.build(m)
+    except ValueError as exc:
+        raise ParseFailure(surface, 0, str(exc)) from exc
 
 
 def parse_identifier(surface: str, hint: MentionType) -> str:
@@ -958,15 +969,8 @@ def parse_identifier(surface: str, hint: MentionType) -> str:
     if hint not in IDENTIFIER_TYPES:
         raise ValueError(f"{hint.name} mentions carry descriptors; "
                          "use parse_descriptor")
-    best = 0
-    for rule in RULES_BY_TYPE[hint]:
-        m = rule.rx.fullmatch(surface)
-        if m is not None:
-            return rule.build(m)
-        prefix = rule.rx.match(surface)
-        if prefix is not None:
-            best = max(best, prefix.end())
-    raise ParseFailure(surface, best)
+    rule, m = next(_full_matches(surface, RULES_BY_TYPE[hint]))
+    return rule.build(m)
 
 
 def classify_surface(surface: str) -> tuple[MentionType, Descriptor | str]:
@@ -975,19 +979,12 @@ def classify_surface(surface: str) -> tuple[MentionType, Descriptor | str]:
     Types are tried in priority order; the reported type is re-derived from
     the parsed descriptor so that equivalent forms classify identically.
     """
-    best = 0
-    for mtype in TYPE_PRIORITY:
-        for rule in RULES_BY_TYPE[mtype]:
-            m = rule.rx.fullmatch(surface)
-            if m is not None:
-                try:
-                    built = rule.build(m)
-                except (ValueError, ParseFailure):
-                    continue
-                if isinstance(built, str):
-                    return mtype, built
-                return classify_descriptor(built), built
-            prefix = rule.rx.match(surface)
-            if prefix is not None:
-                best = max(best, prefix.end())
-    raise ParseFailure(surface, best)
+    rules = (rule for mtype in TYPE_PRIORITY for rule in RULES_BY_TYPE[mtype])
+    for rule, m in _full_matches(surface, rules):
+        try:
+            built = rule.build(m)
+        except (ValueError, ParseFailure):
+            continue
+        if isinstance(built, str):
+            return rule.mtype, built
+        return classify_descriptor(built), built

@@ -13,7 +13,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, TextIO, Union
 
-from .errors import DuplicateKey, FileUnreadable, MalformedRow
+from .corpus import _open_text
+from .errors import DuplicateKey, MalformedRow
 from .hgvs import SequenceLevel, VariantDescriptor, canonical_string
 
 KB_HEADER = ("rsid", "ca_id", "gene", "dna_hgvs", "protein_hgvs", "ref", "alt")
@@ -46,15 +47,6 @@ class VariantRecord:
         if self.rsid:
             return (0, self.rsid_number, self.ca_id)
         return (1, 0, self.ca_id)
-
-
-def _open_text(source: Union[str, TextIO]) -> tuple[TextIO, bool]:
-    if isinstance(source, str):
-        try:
-            return open(source, "r", encoding="utf-8"), True
-        except OSError as exc:
-            raise FileUnreadable(source, str(exc)) from exc
-    return source, False
 
 
 def _check_row(line_no: int, cols: list[str]) -> VariantRecord:

@@ -227,9 +227,12 @@ class Recognizer:
         return kept
 
     def _finalize(
-        self, text: str, doc_id: str, candidates: list[_Candidate]
+        self,
+        text: str,
+        doc_id: str,
+        candidates: list[_Candidate],
+        table: list[int] | None,
     ) -> list[Mention]:
-        table = byte_offsets(text)
         mentions: list[Mention] = []
         for cand in self._resolve(candidates):
             start, end = to_byte_span(table, cand.start, cand.end)
@@ -262,8 +265,8 @@ class Recognizer:
         gene_spans, fused = self._token_hits(text)
         candidates = self._rule_candidates(text, None)
         candidates.extend(fused)
-        mentions = self._finalize(text, doc_id, candidates)
         table = byte_offsets(text)
+        mentions = self._finalize(text, doc_id, candidates, table)
         genes = [
             GeneMention(symbol, *to_byte_span(table, s, e))
             for symbol, s, e in gene_spans
@@ -279,12 +282,12 @@ class Recognizer:
     ) -> list[Mention]:
         """Mentions written out in words ("nine nucleotide deletion")."""
         candidates = self._rule_candidates(sentence, _NL_TYPES)
-        return self._finalize(sentence, doc_id, candidates)
+        return self._finalize(sentence, doc_id, candidates, byte_offsets(sentence))
 
     def recognize_region(self, text: str, doc_id: str = "") -> list[Mention]:
         """Chromosome band, base-pair region, and copy-number mentions."""
         candidates = self._rule_candidates(text, _REGION_TYPES)
-        return self._finalize(text, doc_id, candidates)
+        return self._finalize(text, doc_id, candidates, byte_offsets(text))
 
     def find_gene_mentions(self, text: str) -> list[GeneMention]:
         """Exact lexicon hits, including gene prefixes of fused tokens."""

@@ -110,6 +110,34 @@ def closure_partition(n: int, linked) -> list[tuple[int, ...]]:
     return components
 
 
+def ambiguous_oracle(members, descriptors, renders, flagged, record_sets) -> bool:
+    """Whether one group is ambiguous, re-derived by brute force.
+
+    A group is ambiguous when a member's own id is flagged, or when its
+    decided members (an id, and not a substitution missing its mutant) fall
+    into more than one breadth-first component of "same rendering or a
+    shared KB record".
+    """
+    if any(flagged[i] for i in members):
+        return True
+    decided = []
+    for i in members:
+        d = descriptors[i]
+        incomplete = (
+            isinstance(d, VariantDescriptor)
+            and d.edit_kind is EditKind.SUBSTITUTION
+            and d.alt_allele is None
+        )
+        if renders[i] != "-" and not incomplete:
+            decided.append(i)
+
+    def same(a: int, b: int) -> bool:
+        i, j = decided[a], decided[b]
+        return renders[i] == renders[j] or bool(record_sets[i] & record_sets[j])
+
+    return len(closure_partition(len(decided), same)) > 1
+
+
 def prefix_compatible(a: VariantDescriptor, b: VariantDescriptor) -> bool:
     """Re-derived compatibility check for incomplete/complete mention pairs."""
     if not (isinstance(a, VariantDescriptor) and isinstance(b, VariantDescriptor)):

@@ -185,6 +185,14 @@ def test_annotate_missing_input_is_exit_2(capsys, tmp_path):
     assert "nope.txt" in err
 
 
+def test_annotate_unwritable_output_is_exit_2(corpus_file, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    code, _, err = run(["annotate", str(corpus_file), "-o", str(target)], capsys)
+    assert code == 2
+    assert err.startswith(f"varlex: cannot write {target}")
+    assert "Traceback" not in err
+
+
 def test_annotate_malformed_corpus_is_exit_1(tmp_path, capsys):
     src = tmp_path / "bad.txt"
     src.write_text("1|a|Abstract without title.\n\n", encoding="utf-8")

@@ -164,6 +164,11 @@ def test_tier_tie_breaks_on_lowest_render():
 
 
 def test_closure_matches_bfs_oracle_on_random_docs(kb):
+    # A V600K row makes the bare V600 ambiguous, so some groups get flagged.
+    kb = KnowledgeBase(kb.records + (
+        VariantRecord("rs121913227", "CA123554", "BRAF", "c.1798_1799GT>AA",
+                      "p.V600K", "", ""),
+    ))
     rng = random.Random(9090)
     surfaces = ["V600E", "V600K", "V600", "c.1799T>A", "1799T>A", "1799T",
                 "G12D", "G12", "P799L", "P799", "rs113488022", "rs763780",
@@ -183,6 +188,7 @@ def test_closure_matches_bfs_oracle_on_random_docs(kb):
         scoped = [t for t in full if t[2] == gene] if gene else []
         return set(scoped or full)
 
+    flagged = total = 0
     for trial in range(30):
         k = rng.randint(2, 20)
         picks = rng.choices(surfaces, k=k)
@@ -218,3 +224,13 @@ def test_closure_matches_bfs_oracle_on_random_docs(kb):
         )
         got = [tuple(g.members) for g in groups]
         assert sorted(got) == sorted(want), text
+
+        renders = [nid.render() for nid in ids]
+        for g in groups:
+            assert g.ambiguous is oracles.ambiguous_oracle(
+                g.members, [m.descriptor for m in mentions], renders,
+                [nid.ambiguous for nid in ids], record_sets,
+            ), text
+            flagged += g.ambiguous
+        total += len(groups)
+    assert 0 < flagged < total

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, TextIO, Union
 
 from .errors import FileUnreadable, MalformedLine, OffsetMismatch
-from .tokenizer import byte_slice
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,7 @@ class _BlockReader:
             )
         abstract = self.abstract if self.abstract is not None else ""
         doc = Document(self.doc_id, self.title, abstract)
-        text = doc.full_text
+        data = doc.full_text.encode("utf-8")
         for line_no, cols in self.pending:
             start = _parse_int(line_no, cols[1], "start offset")
             end = _parse_int(line_no, cols[2], "end offset")
@@ -114,7 +113,14 @@ class _BlockReader:
             mention_text, label = cols[3], cols[4]
             if not label:
                 raise MalformedLine(line_no, "empty annotation label")
-            found = byte_slice(text, start, end)
+            try:
+                found = data[start:end].decode("utf-8")
+            except UnicodeDecodeError:
+                # The span cuts a multi-byte character in two.
+                found = data[start:end].decode("utf-8", "replace")
+                raise OffsetMismatch(
+                    self.doc_id, start, end, mention_text, found
+                ) from None
             if found != mention_text:
                 raise OffsetMismatch(self.doc_id, start, end, mention_text, found)
             norm_id = cols[5] if len(cols) == 6 else ""

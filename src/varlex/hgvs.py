@@ -6,6 +6,15 @@ descriptors cover cytogenetic bands, base-pair ranges, and copy number
 events.  The grammars here are shared by :func:`parse_descriptor`, which
 full-matches a known surface form, and by the recognizer, which scans the
 same patterns across running text.
+
+A rule states what its match means only through the names of its pattern's
+groups, drawn from one vocabulary (:data:`GROUP_NAMES`, described on
+:class:`GrammarRule`): ``lv`` level, ``pos``/``pos2`` positions,
+``wt``/``wt3``/``wtn`` and ``mt``/``mt3``/``mtn`` alleles, ``ed`` edit word,
+``seq`` edited sequence, ``size`` length, ``chrom``/``arm``/``band``/``c1``/
+``c2`` regions and ``digits``/``acc`` identifiers.  The same groups feed both
+the descriptor built from a match and the component spans (position,
+wild-type, mutant; :data:`GROUP_ROLES`) the recognizer reports.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import NoSeparator, ParseFailure, UnknownResidue
 
@@ -444,27 +453,78 @@ def classify_descriptor(d: Descriptor) -> MentionType:
 # Grammar rules
 # ---------------------------------------------------------------------------
 
+# Component roles of the groups that name a sub-span of a variant mention.
+GROUP_ROLES: dict[str, ComponentRole] = {
+    "pos": ComponentRole.POSITION,
+    "wt": ComponentRole.WILDTYPE,
+    "wt3": ComponentRole.WILDTYPE,
+    "wtn": ComponentRole.WILDTYPE,
+    "mt": ComponentRole.MUTANT,
+    "mt3": ComponentRole.MUTANT,
+    "mtn": ComponentRole.MUTANT,
+}
+
+# Every group name a rule pattern may use; see GrammarRule.
+GROUP_NAMES = frozenset(GROUP_ROLES) | {
+    "lv", "pos2", "ed", "seq", "size",
+    "chrom", "arm", "band", "c1", "c2",
+    "digits", "acc",
+}
+
+
 @dataclass(frozen=True)
 class GrammarRule:
-    """One surface pattern plus the builder that structures its match.
+    """One surface pattern of one mention type.
 
-    ``pattern`` is used for full-string parsing; ``scan_pattern`` (defaulting
-    to the same string) is what the recognizer embeds in running text.  Rules
-    with ``scan=False`` exist only so canonical renderings re-parse.
+    The named groups of the pattern are the only statement of what a match
+    means, in one vocabulary (:data:`GROUP_NAMES`):
+
+    - ``lv`` sequence-level letter (``c``, ``g``, ``m``, ``r``); without
+      it the level is protein for the protein types, else unspecified;
+    - ``pos``/``pos2`` first and last position;
+    - ``wt``/``wt3``/``wtn`` and ``mt``/``mt3``/``mtn`` wild-type and
+      mutant alleles as one-letter code, three-letter code or name;
+    - ``ed`` edit word, ``seq`` edited sequence, ``size`` length in digits
+      or a number word;
+    - ``chrom``/``arm``/``band`` and ``chrom``/``c1``/``c2`` regions;
+    - ``digits`` dbSNP number and ``acc`` RefSeq accession.
+
+    :meth:`build` reads the descriptor or identifier from these groups, and
+    the recognizer reads component spans from the same groups through
+    :data:`GROUP_ROLES`.  ``pattern`` is used for full-string parsing;
+    ``scan_pattern`` (defaulting to the same string) is what the recognizer
+    embeds in running text.  Rules with ``scan=False`` exist only so
+    canonical renderings re-parse.
     """
 
     mtype: MentionType
     pattern: str
-    build: Callable[[re.Match], Descriptor | str]
     flags: int = 0
     scan: bool = True
     scan_pattern: str | None = None
-    components: tuple[tuple[ComponentRole, str], ...] = ()
     rx: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rx", re.compile(self.pattern, self.flags))
 
+    def build(self, m: re.Match) -> Descriptor | str:
+        """The descriptor, or identifier string, that a match of this rule
+        names."""
+        gd = m.groupdict()
+        if "digits" in gd:
+            return f"rs{gd['digits']}"
+        if "acc" in gd:
+            return gd["acc"]
+        if "chrom" in gd:
+            return _build_region(m, gd)
+        return _build_variant(m, gd, self.mtype in _PROTEIN_TYPES)
+
+
+_PROTEIN_TYPES = frozenset({
+    MentionType.PROTEIN_MUTATION,
+    MentionType.PROTEIN_ALLELE,
+    MentionType.PROTEIN_CHANGE,
+})
 
 _POS = r"[1-9]\d*"
 _NUC = r"[ACGTU]"
@@ -492,212 +552,83 @@ _CHR_WORD = r"[Cc]hr(?:omosome)?\.?\s*"
 _UNIT = r"nucleotides?|base[ \-]?pairs?|bp|amino[ \-]?acids?|codons?"
 
 
-def _level_of(m: re.Match) -> SequenceLevel:
-    letter = m.groupdict().get("lv")
-    return _LEVEL_BY_LETTER[letter] if letter else SequenceLevel.UNSPECIFIED
+def _number(value: str | None) -> int | None:
+    """A count or position written in digits or as a number word."""
+    if not value:
+        return None
+    return int(value) if value.isdigit() else NUMBER_WORDS[value.lower()]
 
 
-def _aa_of(m: re.Match, *names: str) -> str | None:
-    gd = m.groupdict()
+def _allele(gd: dict[str, str | None], *names: str) -> str | None:
     for name in names:
         value = gd.get(name)
         if value:
-            return normalize_amino_acid(value)
+            return _normalize_allele_name(value)
     return None
 
 
-def _int_of(m: re.Match, name: str) -> int | None:
-    value = m.groupdict().get(name)
-    return int(value) if value else None
-
-
-def _coord(m: re.Match, name: str) -> int:
-    return int(m.group(name).replace(",", ""))
+def _coord(value: str) -> int:
+    return int(value.replace(",", ""))
 
 
 _EDIT_BY_WORD = {
     "del": EditKind.DELETION,
     "ins": EditKind.INSERTION,
     "dup": EditKind.DUPLICATION,
+    "fs": EditKind.FRAMESHIFT,
     "deletion": EditKind.DELETION,
     "insertion": EditKind.INSERTION,
     "duplication": EditKind.DUPLICATION,
 }
 
 
-def _build_dna_sub(m: re.Match) -> VariantDescriptor:
+def _build_variant(
+    m: re.Match, gd: dict[str, str | None], protein: bool
+) -> VariantDescriptor:
+    letter = gd.get("lv")
+    if letter:
+        level = _LEVEL_BY_LETTER[letter]
+    else:
+        level = SequenceLevel.PROTEIN if protein else SequenceLevel.UNSPECIFIED
+    word = gd.get("ed")
+    kind = _EDIT_BY_WORD[word.lower()] if word else EditKind.SUBSTITUTION
+    ins = kind is EditKind.INSERTION
+    # The edited sequence is what an insertion adds and what any other
+    # edit removes or copies.
+    seq = gd.get("seq") or None
     return VariantDescriptor(
-        level=_level_of(m),
-        position=int(m.group("pos")),
-        ref_allele=m.group("wt") or None,
-        alt_allele=m.group("mt"),
-        edit_kind=EditKind.SUBSTITUTION,
-        raw=m.group(0),
-    )
-
-
-def _build_dna_edit(m: re.Match) -> VariantDescriptor:
-    kind = _EDIT_BY_WORD[m.group("ed")]
-    seq = m.group("seq") or None
-    return VariantDescriptor(
-        level=_level_of(m),
-        position=int(m.group("pos")),
-        position_end=_int_of(m, "pos2"),
-        ref_allele=None if kind is EditKind.INSERTION else seq,
-        alt_allele=seq if kind is EditKind.INSERTION else None,
+        level=level,
+        position=_number(gd.get("pos")),
+        position_end=_number(gd.get("pos2")),
+        ref_allele=_allele(gd, "wt", "wt3", "wtn") or (None if ins else seq),
+        alt_allele=_allele(gd, "mt", "mt3", "mtn") or (seq if ins else None),
         edit_kind=kind,
+        size=_number(gd.get("size")),
         raw=m.group(0),
     )
 
 
-def _build_dna_allele(m: re.Match) -> VariantDescriptor:
-    return VariantDescriptor(
-        level=_level_of(m),
-        position=int(m.group("pos")),
-        ref_allele=m.group("wt"),
-        edit_kind=EditKind.SUBSTITUTION,
-        raw=m.group(0),
-    )
-
-
-def _build_dna_change(m: re.Match) -> VariantDescriptor:
-    gd = m.groupdict()
-    wt, mt = gd.get("wt"), gd.get("mt")
-    if wt is None:
-        wt = NUC_NAME_TO_1[gd["wtn"].lower()]
-        mt = NUC_NAME_TO_1[gd["mtn"].lower()]
-    return VariantDescriptor(
-        level=_level_of(m),
-        ref_allele=wt.upper(),
-        alt_allele=mt.upper(),
-        edit_kind=EditKind.SUBSTITUTION,
-        raw=m.group(0),
-    )
-
-
-def _build_prot_sub(m: re.Match) -> VariantDescriptor:
-    return VariantDescriptor(
-        level=SequenceLevel.PROTEIN,
-        position=int(m.group("pos")),
-        ref_allele=_aa_of(m, "wt", "wt3"),
-        alt_allele=_aa_of(m, "mt", "mt3"),
-        edit_kind=EditKind.SUBSTITUTION,
-        raw=m.group(0),
-    )
-
-
-def _build_prot_allele(m: re.Match) -> VariantDescriptor:
-    return VariantDescriptor(
-        level=SequenceLevel.PROTEIN,
-        position=int(m.group("pos")),
-        ref_allele=_aa_of(m, "wt", "wt3", "wtn"),
-        edit_kind=EditKind.SUBSTITUTION,
-        raw=m.group(0),
-    )
-
-
-def _build_prot_change(m: re.Match) -> VariantDescriptor:
-    return VariantDescriptor(
-        level=SequenceLevel.PROTEIN,
-        ref_allele=_aa_of(m, "wt", "wt3", "wtn"),
-        alt_allele=_aa_of(m, "mt", "mt3", "mtn"),
-        edit_kind=EditKind.SUBSTITUTION,
-        raw=m.group(0),
-    )
-
-
-def _build_prot_fs(m: re.Match) -> VariantDescriptor:
-    return VariantDescriptor(
-        level=SequenceLevel.PROTEIN,
-        position=int(m.group("pos")),
-        ref_allele=_aa_of(m, "wt", "wt3"),
-        edit_kind=EditKind.FRAMESHIFT,
-        raw=m.group(0),
-    )
-
-
-def _build_prot_edit(m: re.Match) -> VariantDescriptor:
-    return VariantDescriptor(
-        level=SequenceLevel.PROTEIN,
-        position=int(m.group("pos")),
-        ref_allele=_aa_of(m, "wt", "wt3"),
-        edit_kind=_EDIT_BY_WORD[m.group("ed")],
-        raw=m.group(0),
-    )
-
-
-def _build_prot_edit_pos(m: re.Match) -> VariantDescriptor:
-    kind = _EDIT_BY_WORD[m.group("ed")]
-    seq = m.group("seq") or None
-    return VariantDescriptor(
-        level=SequenceLevel.PROTEIN,
-        position=int(m.group("pos")),
-        position_end=_int_of(m, "pos2"),
-        ref_allele=None if kind is EditKind.INSERTION else seq,
-        alt_allele=seq if kind is EditKind.INSERTION else None,
-        edit_kind=kind,
-        size=_int_of(m, "size"),
-        raw=m.group(0),
-    )
-
-
-def _build_other_nl(m: re.Match) -> VariantDescriptor:
-    num = m.group("num").lower()
-    size = int(num) if num.isdigit() else NUMBER_WORDS[num]
-    return VariantDescriptor(
-        position=_int_of(m, "pos"),
-        edit_kind=_EDIT_BY_WORD[m.group("ed").lower()],
-        size=size,
-        raw=m.group(0),
-    )
-
-
-def _build_other_compact(m: re.Match) -> VariantDescriptor:
-    return VariantDescriptor(
-        position=_int_of(m, "pos"),
-        position_end=_int_of(m, "pos2"),
-        edit_kind=_EDIT_BY_WORD[m.group("ed")],
-        size=_int_of(m, "size"),
-        raw=m.group(0),
-    )
-
-
-def _build_band(m: re.Match) -> RegionDescriptor:
-    return RegionDescriptor(
-        chromosome=m.group("chrom").upper(),
-        kind=RegionKind.CHROMOSOME_BAND,
-        arm_band=f"{m.group('arm').lower()}{m.group('band')}",
-        raw=m.group(0),
-    )
-
-
-def _coords_of(m: re.Match) -> tuple[int, int]:
-    start, end = _coord(m, "c1"), _coord(m, "c2")
+def _build_region(m: re.Match, gd: dict[str, str | None]) -> RegionDescriptor:
+    chromosome = gd["chrom"].upper()
+    if gd.get("arm"):
+        return RegionDescriptor(
+            chromosome=chromosome,
+            kind=RegionKind.CHROMOSOME_BAND,
+            arm_band=f"{gd['arm'].lower()}{gd['band']}",
+            raw=m.group(0),
+        )
+    start, end = _coord(gd["c1"]), _coord(gd["c2"])
     if end < start:
         raise ParseFailure(m.group(0), m.start("c2") - m.start(), "end before start")
-    return start, end
-
-
-def _build_bp_region(m: re.Match) -> RegionDescriptor:
-    start, end = _coords_of(m)
+    word = gd.get("ed")
+    if word is None:
+        kind = RegionKind.BP_REGION
+    elif word.lower().startswith("del"):
+        kind = RegionKind.CNV_DEL
+    else:
+        kind = RegionKind.CNV_DUP
     return RegionDescriptor(
-        chromosome=m.group("chrom").upper(),
-        kind=RegionKind.BP_REGION,
-        start_bp=start,
-        end_bp=end,
-        raw=m.group(0),
-    )
-
-
-def _build_cnv(m: re.Match) -> RegionDescriptor:
-    start, end = _coords_of(m)
-    kind = (
-        RegionKind.CNV_DEL
-        if m.group("ed").lower().startswith("del")
-        else RegionKind.CNV_DUP
-    )
-    return RegionDescriptor(
-        chromosome=m.group("chrom").upper(),
+        chromosome=chromosome,
         kind=kind,
         start_bp=start,
         end_bp=end,
@@ -705,104 +636,71 @@ def _build_cnv(m: re.Match) -> RegionDescriptor:
     )
 
 
-def _build_rsid(m: re.Match) -> str:
-    return f"rs{m.group('digits')}"
-
-
-def _build_refseq(m: re.Match) -> str:
-    return m.group("acc")
-
-
-_C = ComponentRole
-
 GRAMMAR_RULES: tuple[GrammarRule, ...] = (
     # --- identifiers -------------------------------------------------------
     GrammarRule(
         MentionType.SNP,
         r"[Rr][Ss](?P<digits>[1-9]\d*)",
-        _build_rsid,
     ),
     GrammarRule(
         MentionType.REFSEQ,
         r"(?P<acc>(?:NM|NP|NC|NG|NR|XM|XP)_\d+(?:\.\d+)?)",
-        _build_refseq,
     ),
     # --- DNA ---------------------------------------------------------------
     GrammarRule(
         MentionType.DNA_MUTATION,
         r"(?:(?P<lv>[cgmr])\.)?(?P<pos>%s)\s?(?P<wt>%s?)%s(?P<mt>%s)"
         % (_POS, _NUC, _ARROW_SEP, _NUC),
-        _build_dna_sub,
-        components=((_C.POSITION, "pos"), (_C.WILDTYPE, "wt"), (_C.MUTANT, "mt")),
     ),
     GrammarRule(
         MentionType.DNA_MUTATION,
         r"(?:(?P<lv>[cgmr])\.)?(?P<pos>%s)(?P<wt>%s)/(?P<mt>%s)"
         % (_POS, _NUC, _NUC),
-        _build_dna_sub,
-        components=((_C.POSITION, "pos"), (_C.WILDTYPE, "wt"), (_C.MUTANT, "mt")),
     ),
     GrammarRule(
         MentionType.DNA_MUTATION,
         r"(?:(?P<lv>[cgmr])\.)?(?P<pos>%s)(?:_(?P<pos2>%s))?(?P<ed>del|ins|dup)(?P<seq>%s*)"
         % (_POS, _POS, _NUC),
-        _build_dna_edit,
         scan_pattern=(
             r"(?P<lv>[cgmr])\.(?P<pos>%s)(?:_(?P<pos2>%s))?(?P<ed>del|ins|dup)(?P<seq>%s*)"
             % (_POS, _POS, _NUC)
         ),
-        components=((_C.POSITION, "pos"),),
     ),
     GrammarRule(
         MentionType.DNA_ALLELE,
         r"(?:(?P<lv>[cgmr])\.)?(?P<pos>%s)(?P<wt>%s)" % (_POS, _NUC),
-        _build_dna_allele,
-        components=((_C.POSITION, "pos"), (_C.WILDTYPE, "wt")),
     ),
     GrammarRule(
         MentionType.DNA_CHANGE,
         r"(?:(?P<lv>[cgmr])\.)?(?P<wt>%s)%s(?P<mt>%s)" % (_NUC, _ARROW_SEP, _NUC),
-        _build_dna_change,
-        components=((_C.WILDTYPE, "wt"), (_C.MUTANT, "mt")),
     ),
     GrammarRule(
         MentionType.DNA_CHANGE,
         r"(?P<wt>%s)/(?P<mt>%s)" % (_NUC, _NUC),
-        _build_dna_change,
-        components=((_C.WILDTYPE, "wt"), (_C.MUTANT, "mt")),
     ),
     GrammarRule(
         MentionType.DNA_CHANGE,
         r"(?P<wtn>%s)\s+to\s+(?P<mtn>%s)" % (_NUC_NAME, _NUC_NAME),
-        _build_dna_change,
         flags=re.IGNORECASE,
-        components=((_C.WILDTYPE, "wtn"), (_C.MUTANT, "mtn")),
     ),
     # --- protein -----------------------------------------------------------
     GrammarRule(
         MentionType.PROTEIN_MUTATION,
         r"(?:p\.)?(?P<wt>%s)(?P<pos>%s)(?P<mt>%s)" % (_AA1, _POS, _AA1_MUT),
-        _build_prot_sub,
-        components=((_C.WILDTYPE, "wt"), (_C.POSITION, "pos"), (_C.MUTANT, "mt")),
     ),
     GrammarRule(
         MentionType.PROTEIN_MUTATION,
         r"(?:p\.)?(?P<wt3>%s)(?P<pos>%s)(?P<mt3>%s)" % (_AA3, _POS, _AA3_MUT),
-        _build_prot_sub,
-        components=((_C.WILDTYPE, "wt3"), (_C.POSITION, "pos"), (_C.MUTANT, "mt3")),
     ),
     GrammarRule(
         MentionType.PROTEIN_MUTATION,
-        r"(?:p\.)?(?:(?P<wt>%s)|(?P<wt3>%s))(?P<pos>%s)fs" % (_AA1, _AA3, _POS),
-        _build_prot_fs,
-        components=((_C.WILDTYPE, "wt"), (_C.POSITION, "pos")),
+        r"(?:p\.)?(?:(?P<wt>%s)|(?P<wt3>%s))(?P<pos>%s)(?P<ed>fs)"
+        % (_AA1, _AA3, _POS),
     ),
     GrammarRule(
         MentionType.PROTEIN_MUTATION,
         r"(?:p\.)?(?:(?P<wt>%s)|(?P<wt3>%s))(?P<pos>%s)(?P<ed>del|dup)"
         % (_AA1, _AA3, _POS),
-        _build_prot_edit,
-        components=((_C.WILDTYPE, "wt"), (_C.POSITION, "pos")),
     ),
     GrammarRule(
         MentionType.PROTEIN_MUTATION,
@@ -810,88 +708,67 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         # unspecified-level event, not a protein one.
         r"p\.(?P<pos>%s)(?:_(?P<pos2>%s))?(?P<ed>del|ins|dup)"
         r"(?:(?P<seq>%s+)|(?P<size>%s))?" % (_POS, _POS, _AA1, _POS),
-        _build_prot_edit_pos,
         scan=False,
-        components=((_C.POSITION, "pos"),),
     ),
     GrammarRule(
         MentionType.PROTEIN_ALLELE,
         r"(?:p\.)?(?P<wt3>%s)(?P<pos>%s)" % (_AA3, _POS),
-        _build_prot_allele,
-        components=((_C.WILDTYPE, "wt3"), (_C.POSITION, "pos")),
     ),
     GrammarRule(
         MentionType.PROTEIN_ALLELE,
         r"p\.(?P<wt>%s)(?P<pos>%s)" % (_AA1, _POS),
-        _build_prot_allele,
-        components=((_C.WILDTYPE, "wt"), (_C.POSITION, "pos")),
     ),
     GrammarRule(
         MentionType.PROTEIN_ALLELE,
         r"(?P<wt>%s)(?P<pos>%s)" % (_AA1, _POS),
-        _build_prot_allele,
         # Bare one-letter alleles need two digits in running text; "T4"-style
         # shorthand is too noisy to claim.
         scan_pattern=r"(?P<wt>%s)(?P<pos>[1-9]\d+)" % _AA1,
-        components=((_C.WILDTYPE, "wt"), (_C.POSITION, "pos")),
     ),
     GrammarRule(
         MentionType.PROTEIN_ALLELE,
         r"(?P<wtn>%s)\s+at\s+(?:codon|residue|position)\s+(?P<pos>%s)"
         % (_AA_NAME, _POS),
-        _build_prot_allele,
         flags=re.IGNORECASE,
-        components=((_C.WILDTYPE, "wtn"), (_C.POSITION, "pos")),
     ),
     GrammarRule(
         MentionType.PROTEIN_CHANGE,
         r"(?P<wtn>%s)\s+to\s+(?P<mtn>%s)" % (_AA_NAME, _AA_NAME),
-        _build_prot_change,
         flags=re.IGNORECASE,
-        components=((_C.WILDTYPE, "wtn"), (_C.MUTANT, "mtn")),
     ),
     GrammarRule(
         MentionType.PROTEIN_CHANGE,
         r"(?:p\.)?(?P<wt3>%s)\s+to\s+(?P<mt3>%s)" % (_AA3, _AA3),
-        _build_prot_change,
-        components=((_C.WILDTYPE, "wt3"), (_C.MUTANT, "mt3")),
     ),
     GrammarRule(
         MentionType.PROTEIN_CHANGE,
         r"(?:p\.)?(?P<wt>%s)%s(?P<mt>%s)" % (_AA1, _ARROW_SEP, _AA1_MUT),
-        _build_prot_change,
-        components=((_C.WILDTYPE, "wt"), (_C.MUTANT, "mt")),
     ),
     # --- natural-language sizes --------------------------------------------
     GrammarRule(
         MentionType.OTHER_MUTATION,
-        r"(?P<num>\d{1,9}|%s)[ \-](?P<unit>%s)[ \-](?P<ed>deletion|insertion|duplication)"
+        r"(?P<size>\d{1,9}|%s)[ \-](?:%s)[ \-](?P<ed>deletion|insertion|duplication)"
         r"(?:\s+(?:starting\s+at|at)\s+position\s+(?P<pos>%s))?"
         % (_NUM_WORD, _UNIT, _POS),
-        _build_other_nl,
         flags=re.IGNORECASE,
-        components=((_C.POSITION, "pos"),),
     ),
     GrammarRule(
         MentionType.OTHER_MUTATION,
         r"(?P<ed>del|ins|dup)(?P<size>%s)" % _POS,
-        _build_other_compact,
         scan=False,
     ),
     GrammarRule(
         MentionType.OTHER_MUTATION,
         r"(?P<pos>%s)(?:_(?P<pos2>%s))?(?P<ed>del|ins|dup)(?P<size>%s)?"
         % (_POS, _POS, _POS),
-        _build_other_compact,
         scan=False,
     ),
     # --- regions -----------------------------------------------------------
     GrammarRule(
         MentionType.CNV,
-        r"%s(?P<chrom>%s)\s*:?\s*(?P<c1>%s)\s*[-–]\s*(?P<c2>%s)"
-        r"\s*(?:bp|base[ \-]?pairs?)?\s*(?P<ed>deletions?|duplications?|del|dup)"
+        r"%s(?P<chrom>%s)\s*(?::\s*)?(?P<c1>%s)\s*[-–]\s*(?P<c2>%s)"
+        r"\s*(?:(?:bp|base[ \-]?pairs?)\s*)?(?P<ed>deletions?|duplications?|del|dup)"
         % (_CHR_WORD, _CHROM, _COORD, _COORD),
-        _build_cnv,
         flags=re.IGNORECASE,
     ),
     GrammarRule(
@@ -900,26 +777,22 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         r"%s(?P<chrom>%s)\s*:\s*(?P<c1>%s)\s*[-–]\s*(?P<c2>%s)"
         r"(?:\s*(?:bp|base[ \-]?pairs?))?"
         % (_CHR_WORD, _CHROM, _COORD, _COORD),
-        _build_cnv,
         flags=re.IGNORECASE,
     ),
     GrammarRule(
         MentionType.GENOMIC_REGION,
         r"%s(?P<chrom>%s)\s*:\s*(?P<c1>%s)\s*[-–]\s*(?P<c2>%s)"
         % (_CHR_WORD, _CHROM, _COORD, _COORD),
-        _build_bp_region,
     ),
     GrammarRule(
         MentionType.CHROMOSOME,
         r"(?:%s)?(?P<chrom>[1-9]\d?|[XY])(?P<arm>[pq])(?P<band>\d+(?:\.\d+)?)"
         % _CHR_WORD,
-        _build_band,
     ),
     GrammarRule(
         MentionType.CHROMOSOME,
         r"chromosome\s+(?P<chrom>[1-9]\d?|[XYxy])\s+(?P<arm>[pq])\s*"
         r"(?P<band>\d+(?:\.\d+)?)",
-        _build_band,
         flags=re.IGNORECASE,
     ),
 )

@@ -17,6 +17,7 @@ from .hgvs import (
     ComponentRole,
     Descriptor,
     GRAMMAR_RULES,
+    GROUP_ROLES,
     GrammarRule,
     MentionType,
     TYPE_PRIORITY,
@@ -129,13 +130,20 @@ class Recognizer:
 
     def __init__(self, lexicon: frozenset[str] | None = None):
         self.lexicon = lexicon
-        self._scanners: list[tuple[GrammarRule, re.Pattern]] = []
+        self._scanners: list[
+            tuple[GrammarRule, re.Pattern, tuple[tuple[ComponentRole, str], ...]]
+        ] = []
         for rule in GRAMMAR_RULES:
             if not rule.scan:
                 continue
             pattern = rule.scan_pattern or rule.pattern
             rx = re.compile(_GUARD_BEFORE + pattern + _GUARD_AFTER, rule.flags)
-            self._scanners.append((rule, rx))
+            roles = tuple(
+                (GROUP_ROLES[group], group)
+                for group in rx.groupindex
+                if group in GROUP_ROLES
+            )
+            self._scanners.append((rule, rx, roles))
 
     # -- candidate generation ----------------------------------------------
 
@@ -143,7 +151,7 @@ class Recognizer:
         self, text: str, types: frozenset[MentionType] | None
     ) -> list[_Candidate]:
         out: list[_Candidate] = []
-        for rule, rx in self._scanners:
+        for rule, rx, roles in self._scanners:
             if types is not None and rule.mtype not in types:
                 continue
             for m in rx.finditer(text):
@@ -151,11 +159,13 @@ class Recognizer:
                     built = rule.build(m)
                 except (ValueError, ParseFailure):
                     continue
-                comps = []
-                for role, group in rule.components:
-                    s, e = m.span(group)
-                    if s != -1 and s != e:
-                        comps.append((role, (s, e)))
+                # A group that took no part spans (-1, -1); an empty one
+                # spans nothing.  Neither names a component.
+                comps = [
+                    (role, span)
+                    for role, group in roles
+                    if (span := m.span(group))[0] != span[1]
+                ]
                 mtype = (
                     rule.mtype
                     if isinstance(built, str)

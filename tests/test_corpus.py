@@ -130,6 +130,17 @@ def test_offset_mismatch_reports_expected_and_found():
     assert err.value.found == "Title"
 
 
+def test_span_splitting_a_character_is_an_offset_mismatch():
+    # Bytes 3..5 of "Café" encode "é"; the span 4..6 starts inside it.
+    text = "6|t|Café\n6|a|Body.\n6\t4\t6\té \tGene\n\n"
+    with pytest.raises(OffsetMismatch) as err:
+        read_pubtator_text(text)
+    assert err.value.doc_id == "6"
+    assert (err.value.start, err.value.end) == (4, 6)
+    assert err.value.expected == "é "
+    assert err.value.found == "\ufffd "
+
+
 def test_read_from_file_and_handle(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_text(EXAMPLE, encoding="utf-8")

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -21,6 +22,7 @@ from varlex import (
     parse_identifier,
     region_string,
 )
+from varlex.hgvs import GRAMMAR_RULES, GROUP_NAMES
 
 from oracles import random_descriptor
 
@@ -291,6 +293,15 @@ def test_cnv_leading_edit_word():
 def test_cnv_reversed_coordinates_rejected():
     with pytest.raises(ParseFailure):
         parse_descriptor("chr7:500-100 deletion", MT.CNV)
+
+
+def test_rule_groups_use_the_builder_vocabulary():
+    # A group name outside the vocabulary would be ignored by the builder
+    # and the recognizer alike, silently dropping a field.
+    for rule in GRAMMAR_RULES:
+        for pattern in (rule.pattern, rule.scan_pattern or rule.pattern):
+            names = set(re.compile(pattern, rule.flags).groupindex)
+            assert names <= GROUP_NAMES, (pattern, names - GROUP_NAMES)
 
 
 def test_identifier_parsing():

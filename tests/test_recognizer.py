@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -94,13 +95,19 @@ def test_components_cover_sub_spans(recognizer):
         assert m.start <= s < e <= m.end
 
 
-def test_protein_components(recognizer):
-    text = "carrying p.Gln659Leu today"
+@pytest.mark.parametrize("surface,wt,pos,mt", [
+    ("p.Gln659Leu", "Gln", "659", "Leu"),
+    ("p.Val600fs", "Val", "600", None),
+    ("p.Val600del", "Val", "600", None),
+])
+def test_protein_components(recognizer, surface, wt, pos, mt):
+    text = f"carrying {surface} today"
     m = recognizer.recognize(text)[0]
-    wt = m.components[ComponentRole.WILDTYPE]
-    mt = m.components[ComponentRole.MUTANT]
-    assert text[wt[0]:wt[1]] == "Gln"
-    assert text[mt[0]:mt[1]] == "Leu"
+    parts = {role: text[s:e] for role, (s, e) in m.components.items()}
+    expected = {ComponentRole.WILDTYPE: wt, ComponentRole.POSITION: pos}
+    if mt is not None:
+        expected[ComponentRole.MUTANT] = mt
+    assert parts == expected
 
 
 def test_fused_gene_token_splits(recognizer):
@@ -190,6 +197,16 @@ def test_cnv_swallows_inner_region(recognizer):
     d = mentions[0].descriptor
     assert (d.start_bp, d.end_bp) == (31833000, 37477000)
     assert d.kind is RegionKind.CNV_DEL
+
+
+@pytest.mark.parametrize("head", ["chr1", "chr1:1-2", "chromosome 1"])
+def test_region_head_before_long_whitespace_is_fast(recognizer, head):
+    # A CNV pattern with two adjacent optional-whitespace runs once
+    # backtracked quadratically here: 6 s for these 20,000 spaces.
+    text = head + " " * 20_000
+    started = time.perf_counter()
+    recognizer.recognize(text)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_rs_identifier_lowercased(recognizer):

@@ -16,7 +16,7 @@ from typing import TextIO
 
 from .corpus import (
     Document,
-    _open_text,
+    _read_text,
     read_pubtator,
     read_pubtator_text,
     write_pubtator,
@@ -109,14 +109,6 @@ class _OutputUnwritable(Exception):
     """The output path cannot be opened or written; exits 2."""
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    fh, _ = _open_text(path)
-    with fh:
-        return fh.read()
-
-
 def _write_output(path: str, content: str) -> None:
     if path == "-":
         sys.stdout.write(content)
@@ -148,7 +140,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     annotator = Annotator(
         kb=kb, lexicon=lexicon, policy=policy, group=not args.no_group
     )
-    content = _read_input(args.input)
+    content = _read_text(sys.stdin if args.input == "-" else args.input)
     if args.format == "text":
         docs = _text_documents(content)
     else:

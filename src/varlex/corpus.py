@@ -37,13 +37,15 @@ class Document:
         return f"{self.title} {self.abstract}"
 
 
-def _open_text(source: Union[str, TextIO]) -> tuple[TextIO, bool]:
-    if isinstance(source, str):
-        try:
-            return open(source, "r", encoding="utf-8"), True
-        except OSError as exc:
-            raise FileUnreadable(source, str(exc)) from exc
-    return source, False
+def _read_text(source: Union[str, TextIO]) -> str:
+    """The whole text of a file path, or of a stream the caller keeps open."""
+    if not isinstance(source, str):
+        return source.read()
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise FileUnreadable(source, str(exc)) from exc
 
 
 def _parse_int(line_no: int, value: str, what: str) -> int:
@@ -132,12 +134,7 @@ class _BlockReader:
 
 def read_pubtator(source: Union[str, TextIO]) -> list[Document]:
     """Parse a PubTator file into documents, verifying every offset."""
-    fh, owned = _open_text(source)
-    try:
-        content = fh.read()
-    finally:
-        if owned:
-            fh.close()
+    content = _read_text(source)
     docs: list[Document] = []
     block: _BlockReader | None = None
     for line_no, line in enumerate(content.splitlines(), start=1):

@@ -1,10 +1,11 @@
 """Tab-separated variant knowledge base and gene lexicon loaders.
 
-The KB is a strict seven-column TSV keyed by gene plus HGVS form.  Lookups
-are exact string matches against canonical renderings; incomplete protein
-mentions ("p.P799") hit a prefix index derived from the stored protein
-forms.  All query results come back in a deterministic order so downstream
-tie-breaks never depend on file order.
+The KB is a strict seven-column TSV, one variant per row.  Four KB-wide
+indexes (DNA HGVS, protein HGVS, protein position prefix, rs number) map
+exact canonical renderings to records; incomplete protein mentions
+("p.P799") hit the prefix index derived from the stored protein forms, and
+a gene, when given, filters the hits.  All query results come back in a
+deterministic order so downstream tie-breaks never depend on file order.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, TextIO, Union
 
-from .corpus import _open_text
+from .corpus import _read_text
 from .errors import DuplicateKey, MalformedRow
 from .hgvs import SequenceLevel, VariantDescriptor, canonical_string
 
@@ -73,63 +74,56 @@ def _check_row(line_no: int, cols: list[str]) -> VariantRecord:
 
 
 class KnowledgeBase:
-    """In-memory exact-match indexes over the KB rows."""
+    """In-memory exact-match indexes over the KB rows.
+
+    Four KB-wide indexes map a canonical form to its records: DNA HGVS,
+    protein HGVS, protein position prefix ("p.V600") and rs number.  Each
+    list is deduplicated and ordered once, here, so lookups only filter.
+    """
 
     def __init__(self, records: Iterable[VariantRecord]):
         self.records: tuple[VariantRecord, ...] = tuple(records)
-        self._by_gene_dna: dict[tuple[str, str], list[VariantRecord]] = {}
-        self._by_gene_prot: dict[tuple[str, str], list[VariantRecord]] = {}
-        self._by_gene_prefix: dict[tuple[str, str], list[VariantRecord]] = {}
         self._by_dna: dict[str, list[VariantRecord]] = {}
         self._by_prot: dict[str, list[VariantRecord]] = {}
         self._by_prefix: dict[str, list[VariantRecord]] = {}
         self._by_rsid: dict[str, list[VariantRecord]] = {}
-        for rec in self.records:
+        # Identical rows collapse to their first occurrence; the stable sort
+        # keeps file order among rows that tie on sort_key.
+        unique = sorted(dict.fromkeys(self.records), key=VariantRecord.sort_key)
+        for rec in unique:
             if rec.dna_hgvs:
-                self._by_gene_dna.setdefault((rec.gene, rec.dna_hgvs), []).append(rec)
                 self._by_dna.setdefault(rec.dna_hgvs, []).append(rec)
             if rec.protein_hgvs:
-                self._by_gene_prot.setdefault((rec.gene, rec.protein_hgvs), []).append(rec)
                 self._by_prot.setdefault(rec.protein_hgvs, []).append(rec)
                 pm = _PROT_PREFIX_RX.match(rec.protein_hgvs)
                 if pm is not None:
-                    key = pm.group(0)
-                    self._by_gene_prefix.setdefault((rec.gene, key), []).append(rec)
-                    self._by_prefix.setdefault(key, []).append(rec)
+                    self._by_prefix.setdefault(pm.group(0), []).append(rec)
             if rec.rsid:
                 self._by_rsid.setdefault(rec.rsid, []).append(rec)
-
-    @staticmethod
-    def _ordered(recs: Iterable[VariantRecord]) -> list[VariantRecord]:
-        seen: dict[VariantRecord, None] = {}
-        for rec in recs:
-            seen.setdefault(rec)
-        return sorted(seen, key=VariantRecord.sort_key)
 
     def lookup(
         self, gene: str | None, descriptor: VariantDescriptor
     ) -> list[VariantRecord]:
         """All records matching the descriptor, best identifiers first.
 
-        With a gene the gene-scoped index is consulted; without one the
-        match runs KB-wide.  Incomplete protein mentions match any record
-        sharing their wild-type and position.
+        The match runs KB-wide; a non-empty gene keeps only that gene's
+        records.  Incomplete protein mentions match any record sharing
+        their wild-type and position.  The returned list is the caller's.
         """
-        canon = canonical_string(descriptor)
-        protein = descriptor.level is SequenceLevel.PROTEIN
-        if protein and descriptor.is_incomplete:
-            table, global_table = self._by_gene_prefix, self._by_prefix
-        elif protein:
-            table, global_table = self._by_gene_prot, self._by_prot
+        if descriptor.level is not SequenceLevel.PROTEIN:
+            table = self._by_dna
+        elif descriptor.is_incomplete:
+            table = self._by_prefix
         else:
-            table, global_table = self._by_gene_dna, self._by_dna
+            table = self._by_prot
+        records = table.get(canonical_string(descriptor), [])
         if gene:
-            return self._ordered(table.get((gene, canon), []))
-        return self._ordered(global_table.get(canon, []))
+            return [r for r in records if r.gene == gene]
+        return list(records)
 
     def lookup_rsid(self, rsid: str) -> list[VariantRecord]:
         # Stored ids are lowercase; accept Rs/RS spellings from raw text.
-        return self._ordered(self._by_rsid.get(rsid.lower(), []))
+        return list(self._by_rsid.get(rsid.lower(), []))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -141,12 +135,7 @@ def load_kb(source: Union[str, TextIO]) -> KnowledgeBase:
     Raises FileUnreadable, MalformedRow (with line and column), or
     DuplicateKey when one (gene, HGVS) key claims two different rs numbers.
     """
-    fh, owned = _open_text(source)
-    try:
-        lines = fh.read().splitlines()
-    finally:
-        if owned:
-            fh.close()
+    lines = _read_text(source).splitlines()
     if not lines or [c.strip() for c in lines[0].split("\t")] != list(KB_HEADER):
         raise MalformedRow(1, "header", "missing or wrong header line")
     records: list[VariantRecord] = []
@@ -170,12 +159,7 @@ def load_kb(source: Union[str, TextIO]) -> KnowledgeBase:
 
 def load_genes(source: Union[str, TextIO]) -> frozenset[str]:
     """Read a gene lexicon: one symbol per line, blanks skipped."""
-    fh, owned = _open_text(source)
-    try:
-        lines = fh.read().splitlines()
-    finally:
-        if owned:
-            fh.close()
+    lines = _read_text(source).splitlines()
     symbols: set[str] = set()
     for line_no, line in enumerate(lines, start=1):
         symbol = line.strip()

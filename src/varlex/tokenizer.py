@@ -43,6 +43,7 @@ _SCAN = re.compile(
 
 _HAS_LETTER = re.compile(r"[A-Za-z]")
 _HAS_DIGIT = re.compile(r"[0-9]")
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
 
 
 def _classify(run: str) -> TokenKind:
@@ -71,12 +72,16 @@ def byte_offsets(text: str) -> list[int] | None:
     text is pure ASCII and the mapping is the identity."""
     if text.isascii():
         return None
-    table = [0] * (len(text) + 1)
-    pos = 0
-    for i, ch in enumerate(text):
-        table[i] = pos
-        pos += len(ch.encode("utf-8"))
-    table[len(text)] = pos
+    # Byte offset = character index + the extra bytes of every earlier
+    # non-ASCII character, so only those characters need encoding.
+    table: list[int] = []
+    shift = done = 0
+    for m in _NON_ASCII.finditer(text):
+        i = m.start()
+        table.extend(range(done + shift, i + shift + 1))
+        shift += len(m.group().encode("utf-8")) - 1
+        done = i + 1
+    table.extend(range(done + shift, len(text) + shift + 1))
     return table
 
 

@@ -6,6 +6,8 @@ import pytest
 from varlex import read_pubtator_text, write_pubtator
 from varlex.cli import main
 
+from conftest import data_path
+
 CORPUS = """10327394|t|Mutations of the BRAF gene in human cancer.
 10327394|a|We detected the V600E substitution in two thirds of melanomas.
 10327394\t17\t21\tGene\tGene
@@ -158,6 +160,21 @@ def test_annotate_threads_do_not_change_output(corpus_file, kb_path,
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_annotate_sample_matches_frozen_output(kb_path, genes_path, tmp_path,
+                                               capsys):
+    # sample_annotated.txt is the recorded output of this exact command; a
+    # change that alters behaviour on purpose regenerates it.
+    out_path = tmp_path / "sample_annotated.txt"
+    code, _, err = run([
+        "annotate", data_path("sample_corpus.txt"),
+        "--kb", kb_path, "--genes", genes_path,
+        "-o", str(out_path),
+    ], capsys)
+    assert code == 0, err
+    with open(data_path("sample_annotated.txt"), "rb") as fh:
+        assert out_path.read_bytes() == fh.read()
 
 
 def test_annotate_no_group_keeps_local_ids(kb_path, genes_path, tmp_path,

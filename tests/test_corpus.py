@@ -147,6 +147,7 @@ def test_read_from_file_and_handle(tmp_path):
     from_path = read_pubtator(str(path))
     with open(path, "r", encoding="utf-8") as fh:
         from_handle = read_pubtator(fh)
+        assert not fh.closed
     assert from_path == from_handle == read_pubtator_text(EXAMPLE)
 
 

@@ -88,6 +88,33 @@ def test_record_ordering_is_numeric_not_lexical():
     assert [r.rsid or r.ca_id for r in got] == ["rs9", "rs10", "CA7"]
 
 
+def test_identical_rows_are_returned_once(tmp_path):
+    row = "rs1\tCA1\tBRAF\tc.1A>T\tp.K1N\tA\tT"
+    kb = load_kb(write_kb(tmp_path, [row, row]))
+    assert len(kb) == 2
+    for gene in ("BRAF", None):
+        assert [r.rsid for r in kb.lookup(gene, desc("c.1A>T"))] == ["rs1"]
+        assert [r.rsid for r in kb.lookup(gene, desc("p.K1N"))] == ["rs1"]
+        assert [r.rsid for r in kb.lookup(gene, desc("p.K1"))] == ["rs1"]
+    assert [r.ca_id for r in kb.lookup_rsid("rs1")] == ["CA1"]
+
+
+@pytest.mark.parametrize("gene", ["BRAF", None])
+@pytest.mark.parametrize("mutate", [
+    lambda got: got.append(got[0]),
+    lambda got: got.clear(),
+], ids=["append", "clear"])
+def test_returned_lists_do_not_alias_the_index(kb_path, gene, mutate):
+    kb = load_kb(kb_path)
+    d = desc("V600E")
+    before = list(kb.lookup(gene, d))
+    mutate(kb.lookup(gene, d))
+    assert kb.lookup(gene, d) == before
+    before = list(kb.lookup_rsid("rs113488022"))
+    mutate(kb.lookup_rsid("rs113488022"))
+    assert kb.lookup_rsid("rs113488022") == before
+
+
 def test_missing_file_raises(tmp_path):
     with pytest.raises(FileUnreadable):
         load_kb(str(tmp_path / "absent.tsv"))

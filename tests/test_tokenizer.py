@@ -79,6 +79,17 @@ def test_byte_offsets_table():
     assert to_byte_span(None, 3, 7) == (3, 7)
 
 
+@given(st.text())
+def test_byte_offsets_match_encoded_prefix_lengths(text):
+    table = byte_offsets(text)
+    if text.isascii():
+        assert table is None
+    else:
+        assert len(table) == len(text) + 1
+        for i in range(len(text) + 1):
+            assert table[i] == len(text[:i].encode("utf-8"))
+
+
 @given(st.text(max_size=300))
 @settings(max_examples=300)
 def test_tokens_reconstruct_source(text):

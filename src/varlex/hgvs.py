@@ -141,6 +141,20 @@ NUMBER_WORDS = {
 }
 
 
+def fold(text: str) -> str:
+    """Lower-case ``text`` so that every character ``re.IGNORECASE`` matches
+    to an ASCII letter becomes that letter.
+
+    ``str.lower`` alone leaves the long s (``ſ``) and the dotless i (``ı``),
+    and turns the dotted capital I (``İ``) into ``i`` plus a combining dot;
+    the Kelvin sign already lowers to ``k``.
+    """
+    low = text.lower()
+    if low.isascii():
+        return low
+    return low.replace("ſ", "s").replace("ı", "i").replace("i\u0307", "i")
+
+
 def normalize_amino_acid(name: str) -> str:
     """Collapse a residue spelling to its one-letter code.
 
@@ -161,7 +175,7 @@ def normalize_amino_acid(name: str) -> str:
         code = AA3_TO_1.get(s.capitalize())
         if code:
             return code
-    low = s.lower()
+    low = fold(s)
     if low in AA_NAME_TO_1:
         return AA_NAME_TO_1[low]
     if low in ("ter", "stop"):
@@ -188,7 +202,7 @@ def normalize_arrow(text: str) -> str:
 
 def _normalize_allele_name(side: str) -> str:
     s = side.strip()
-    low = s.lower()
+    low = fold(s)
     if low in NUC_NAME_TO_1:
         return NUC_NAME_TO_1[low]
     if len(s) == 1 and s.upper() in "ACGTU":
@@ -495,13 +509,22 @@ class GrammarRule:
     ``scan_pattern`` (defaulting to the same string) is what the recognizer
     embeds in running text.  Rules with ``scan=False`` exist only so
     canonical renderings re-parse.
+
+    ``name`` is stable and unique across :data:`GRAMMAR_RULES`.
+    ``triggers`` are literals of which every scan match contains at least
+    one, so the recognizer runs the rule only on text holding one of them.
+    For a case-sensitive rule they are exact-case and tested against the
+    raw text; for an ``re.IGNORECASE`` rule they are lower-case and tested
+    against :func:`fold` of the text.  A rule with no triggers always runs.
     """
 
+    name: str
     mtype: MentionType
     pattern: str
     flags: int = 0
     scan: bool = True
     scan_pattern: str | None = None
+    triggers: tuple[str, ...] = ()
     rx: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -556,7 +579,7 @@ def _number(value: str | None) -> int | None:
     """A count or position written in digits or as a number word."""
     if not value:
         return None
-    return int(value) if value.isdigit() else NUMBER_WORDS[value.lower()]
+    return int(value) if value.isdigit() else NUMBER_WORDS[fold(value)]
 
 
 def _allele(gd: dict[str, str | None], *names: str) -> str | None:
@@ -591,7 +614,7 @@ def _build_variant(
     else:
         level = SequenceLevel.PROTEIN if protein else SequenceLevel.UNSPECIFIED
     word = gd.get("ed")
-    kind = _EDIT_BY_WORD[word.lower()] if word else EditKind.SUBSTITUTION
+    kind = _EDIT_BY_WORD[fold(word)] if word else EditKind.SUBSTITUTION
     ins = kind is EditKind.INSERTION
     # The edited sequence is what an insertion adds and what any other
     # edit removes or copies.
@@ -636,28 +659,51 @@ def _build_region(m: re.Match, gd: dict[str, str | None]) -> RegionDescriptor:
     )
 
 
+# Trigger literals shared by several rules; see GrammarRule.
+_ARROW_TRIGGERS = (">", "→")
+_AA3_TRIGGERS = (
+    "Ala", "Arg", "Asn", "Asp", "Cys", "Gln", "Glu", "Gly", "His", "Ile",
+    "Leu", "Lys", "Met", "Phe", "Pro", "Ser", "Thr", "Trp", "Tyr", "Val",
+    "Sec",
+)
+# Every amino-acid name holds one of these ("isoleucine" holds "leucine").
+_AA_NAME_TRIGGERS = (
+    "alanine", "arginine", "asparagine", "aspart", "cysteine", "glutam",
+    "glycine", "histidine", "leucine", "lysine", "methionine", "proline",
+    "serine", "threonine", "tryptophan", "tyrosine", "valine", "stop",
+)
+
 GRAMMAR_RULES: tuple[GrammarRule, ...] = (
     # --- identifiers -------------------------------------------------------
     GrammarRule(
+        "snp",
         MentionType.SNP,
         r"[Rr][Ss](?P<digits>[1-9]\d*)",
+        triggers=("rs", "Rs", "rS", "RS"),
     ),
     GrammarRule(
+        "refseq",
         MentionType.REFSEQ,
         r"(?P<acc>(?:NM|NP|NC|NG|NR|XM|XP)_\d+(?:\.\d+)?)",
+        triggers=("NM_", "NP_", "NC_", "NG_", "NR_", "XM_", "XP_"),
     ),
     # --- DNA ---------------------------------------------------------------
     GrammarRule(
+        "dna_arrow",
         MentionType.DNA_MUTATION,
         r"(?:(?P<lv>[cgmr])\.)?(?P<pos>%s)\s?(?P<wt>%s?)%s(?P<mt>%s)"
         % (_POS, _NUC, _ARROW_SEP, _NUC),
+        triggers=_ARROW_TRIGGERS,
     ),
     GrammarRule(
+        "dna_slash",
         MentionType.DNA_MUTATION,
         r"(?:(?P<lv>[cgmr])\.)?(?P<pos>%s)(?P<wt>%s)/(?P<mt>%s)"
         % (_POS, _NUC, _NUC),
+        triggers=("/",),
     ),
     GrammarRule(
+        "dna_level_edit",
         MentionType.DNA_MUTATION,
         r"(?:(?P<lv>[cgmr])\.)?(?P<pos>%s)(?:_(?P<pos2>%s))?(?P<ed>del|ins|dup)(?P<seq>%s*)"
         % (_POS, _POS, _NUC),
@@ -665,44 +711,60 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
             r"(?P<lv>[cgmr])\.(?P<pos>%s)(?:_(?P<pos2>%s))?(?P<ed>del|ins|dup)(?P<seq>%s*)"
             % (_POS, _POS, _NUC)
         ),
+        triggers=("c.", "g.", "m.", "r."),
     ),
     GrammarRule(
+        "dna_allele",
         MentionType.DNA_ALLELE,
         r"(?:(?P<lv>[cgmr])\.)?(?P<pos>%s)(?P<wt>%s)" % (_POS, _NUC),
     ),
     GrammarRule(
+        "dna_change_arrow",
         MentionType.DNA_CHANGE,
         r"(?:(?P<lv>[cgmr])\.)?(?P<wt>%s)%s(?P<mt>%s)" % (_NUC, _ARROW_SEP, _NUC),
+        triggers=_ARROW_TRIGGERS,
     ),
     GrammarRule(
+        "dna_change_slash",
         MentionType.DNA_CHANGE,
         r"(?P<wt>%s)/(?P<mt>%s)" % (_NUC, _NUC),
+        triggers=("/",),
     ),
     GrammarRule(
+        "dna_change_words",
         MentionType.DNA_CHANGE,
         r"(?P<wtn>%s)\s+to\s+(?P<mtn>%s)" % (_NUC_NAME, _NUC_NAME),
         flags=re.IGNORECASE,
+        triggers=("adenine", "guanine", "cytosine", "thymine", "uracil"),
     ),
     # --- protein -----------------------------------------------------------
     GrammarRule(
+        "protein_one_letter",
         MentionType.PROTEIN_MUTATION,
         r"(?:p\.)?(?P<wt>%s)(?P<pos>%s)(?P<mt>%s)" % (_AA1, _POS, _AA1_MUT),
     ),
     GrammarRule(
+        "protein_three_letter",
         MentionType.PROTEIN_MUTATION,
         r"(?:p\.)?(?P<wt3>%s)(?P<pos>%s)(?P<mt3>%s)" % (_AA3, _POS, _AA3_MUT),
+        triggers=_AA3_TRIGGERS,
     ),
     GrammarRule(
+        "protein_frameshift",
         MentionType.PROTEIN_MUTATION,
         r"(?:p\.)?(?:(?P<wt>%s)|(?P<wt3>%s))(?P<pos>%s)(?P<ed>fs)"
         % (_AA1, _AA3, _POS),
+        triggers=("fs",),
     ),
     GrammarRule(
+        "protein_del_dup",
         MentionType.PROTEIN_MUTATION,
         r"(?:p\.)?(?:(?P<wt>%s)|(?P<wt3>%s))(?P<pos>%s)(?P<ed>del|dup)"
         % (_AA1, _AA3, _POS),
+        triggers=("del", "dup"),
     ),
     GrammarRule(
+        "protein_range_edit",
         MentionType.PROTEIN_MUTATION,
         # The p. prefix is mandatory: a bare "1952ins306" is an
         # unspecified-level event, not a protein one.
@@ -711,14 +773,19 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         scan=False,
     ),
     GrammarRule(
+        "protein_allele_three_letter",
         MentionType.PROTEIN_ALLELE,
         r"(?:p\.)?(?P<wt3>%s)(?P<pos>%s)" % (_AA3, _POS),
+        triggers=_AA3_TRIGGERS,
     ),
     GrammarRule(
+        "protein_allele_p",
         MentionType.PROTEIN_ALLELE,
         r"p\.(?P<wt>%s)(?P<pos>%s)" % (_AA1, _POS),
+        triggers=("p.",),
     ),
     GrammarRule(
+        "protein_allele_one_letter",
         MentionType.PROTEIN_ALLELE,
         r"(?P<wt>%s)(?P<pos>%s)" % (_AA1, _POS),
         # Bare one-letter alleles need two digits in running text; "T4"-style
@@ -726,38 +793,50 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         scan_pattern=r"(?P<wt>%s)(?P<pos>[1-9]\d+)" % _AA1,
     ),
     GrammarRule(
+        "protein_allele_words",
         MentionType.PROTEIN_ALLELE,
         r"(?P<wtn>%s)\s+at\s+(?:codon|residue|position)\s+(?P<pos>%s)"
         % (_AA_NAME, _POS),
         flags=re.IGNORECASE,
+        triggers=("codon", "residue", "position"),
     ),
     GrammarRule(
+        "protein_change_words",
         MentionType.PROTEIN_CHANGE,
         r"(?P<wtn>%s)\s+to\s+(?P<mtn>%s)" % (_AA_NAME, _AA_NAME),
         flags=re.IGNORECASE,
+        triggers=_AA_NAME_TRIGGERS,
     ),
     GrammarRule(
+        "protein_change_three_letter",
         MentionType.PROTEIN_CHANGE,
         r"(?:p\.)?(?P<wt3>%s)\s+to\s+(?P<mt3>%s)" % (_AA3, _AA3),
+        triggers=_AA3_TRIGGERS,
     ),
     GrammarRule(
+        "protein_change_arrow",
         MentionType.PROTEIN_CHANGE,
         r"(?:p\.)?(?P<wt>%s)%s(?P<mt>%s)" % (_AA1, _ARROW_SEP, _AA1_MUT),
+        triggers=_ARROW_TRIGGERS,
     ),
     # --- natural-language sizes --------------------------------------------
     GrammarRule(
+        "size_words",
         MentionType.OTHER_MUTATION,
         r"(?P<size>\d{1,9}|%s)[ \-](?:%s)[ \-](?P<ed>deletion|insertion|duplication)"
         r"(?:\s+(?:starting\s+at|at)\s+position\s+(?P<pos>%s))?"
         % (_NUM_WORD, _UNIT, _POS),
         flags=re.IGNORECASE,
+        triggers=("deletion", "insertion", "duplication"),
     ),
     GrammarRule(
+        "edit_size",
         MentionType.OTHER_MUTATION,
         r"(?P<ed>del|ins|dup)(?P<size>%s)" % _POS,
         scan=False,
     ),
     GrammarRule(
+        "position_edit_size",
         MentionType.OTHER_MUTATION,
         r"(?P<pos>%s)(?:_(?P<pos2>%s))?(?P<ed>del|ins|dup)(?P<size>%s)?"
         % (_POS, _POS, _POS),
@@ -765,35 +844,44 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
     ),
     # --- regions -----------------------------------------------------------
     GrammarRule(
+        "cnv_region_edit",
         MentionType.CNV,
         r"%s(?P<chrom>%s)\s*(?::\s*)?(?P<c1>%s)\s*[-–]\s*(?P<c2>%s)"
         r"\s*(?:(?:bp|base[ \-]?pairs?)\s*)?(?P<ed>deletions?|duplications?|del|dup)"
         % (_CHR_WORD, _CHROM, _COORD, _COORD),
         flags=re.IGNORECASE,
+        triggers=("chr",),
     ),
     GrammarRule(
+        "cnv_edit_region",
         MentionType.CNV,
         r"(?P<ed>deletion|duplication|del|dup)\s+(?:(?:of|at|on|in)\s+)?"
         r"%s(?P<chrom>%s)\s*:\s*(?P<c1>%s)\s*[-–]\s*(?P<c2>%s)"
         r"(?:\s*(?:bp|base[ \-]?pairs?))?"
         % (_CHR_WORD, _CHROM, _COORD, _COORD),
         flags=re.IGNORECASE,
+        triggers=("chr",),
     ),
     GrammarRule(
+        "genomic_region",
         MentionType.GENOMIC_REGION,
         r"%s(?P<chrom>%s)\s*:\s*(?P<c1>%s)\s*[-–]\s*(?P<c2>%s)"
         % (_CHR_WORD, _CHROM, _COORD, _COORD),
+        triggers=("chr", "Chr"),
     ),
     GrammarRule(
+        "chromosome_band",
         MentionType.CHROMOSOME,
         r"(?:%s)?(?P<chrom>[1-9]\d?|[XY])(?P<arm>[pq])(?P<band>\d+(?:\.\d+)?)"
         % _CHR_WORD,
     ),
     GrammarRule(
+        "chromosome_words",
         MentionType.CHROMOSOME,
         r"chromosome\s+(?P<chrom>[1-9]\d?|[XYxy])\s+(?P<arm>[pq])\s*"
         r"(?P<band>\d+(?:\.\d+)?)",
         flags=re.IGNORECASE,
+        triggers=("chromosome",),
     ),
 )
 

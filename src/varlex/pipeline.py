@@ -43,7 +43,8 @@ class Annotator:
         """The same document with annotations replaced by pipeline output."""
         text = doc.full_text
         mentions, genes = self.recognizer.scan_document(text, doc.doc_id)
-        sentences = split_sentences(text)
+        # Without both a mention and a gene, no gene context reads sentences.
+        sentences = split_sentences(text) if mentions and genes else None
         for mention in mentions:
             mention.gene_context = resolve_gene_context(
                 mention, genes, sentences

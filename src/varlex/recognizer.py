@@ -1,10 +1,11 @@
 """Locate variant mentions in running text.
 
-Every grammar rule is compiled once with word-boundary guards and scanned
-independently; overlapping candidates are then arbitrated by span length,
-left position, and concept-type priority, in that order, so output never
-depends on rule order or dictionary iteration.  Mention offsets are UTF-8
-byte positions into the scanned text.
+Every grammar rule is compiled once with word-boundary guards.  A rule is
+scanned only over text holding one of its trigger literals (a rule without
+triggers is always scanned); overlapping candidates are then arbitrated by
+span length, left position, and concept-type priority, in that order, so
+output never depends on rule order or dictionary iteration.  Mention offsets
+are UTF-8 byte positions into the scanned text.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .hgvs import (
     MentionType,
     TYPE_PRIORITY,
     classify_descriptor,
+    fold,
     parse_descriptor,
 )
 from .tokenizer import byte_offsets, to_byte_span
@@ -130,8 +132,15 @@ class Recognizer:
 
     def __init__(self, lexicon: frozenset[str] | None = None):
         self.lexicon = lexicon
+        # Each scanner: its rule, the guarded regex, the component groups,
+        # and whether the rule's triggers are sought in the folded text.
         self._scanners: list[
-            tuple[GrammarRule, re.Pattern, tuple[tuple[ComponentRole, str], ...]]
+            tuple[
+                GrammarRule,
+                re.Pattern,
+                tuple[tuple[ComponentRole, str], ...],
+                bool,
+            ]
         ] = []
         for rule in GRAMMAR_RULES:
             if not rule.scan:
@@ -143,7 +152,8 @@ class Recognizer:
                 for group in rx.groupindex
                 if group in GROUP_ROLES
             )
-            self._scanners.append((rule, rx, roles))
+            folds = bool(rule.flags & re.IGNORECASE)
+            self._scanners.append((rule, rx, roles, folds))
 
     # -- candidate generation ----------------------------------------------
 
@@ -151,9 +161,23 @@ class Recognizer:
         self, text: str, types: frozenset[MentionType] | None
     ) -> list[_Candidate]:
         out: list[_Candidate] = []
-        for rule, rx, roles in self._scanners:
+        folded: str | None = None
+        # Whether a trigger set occurs; several rules share one set.
+        present: dict[tuple[bool, tuple[str, ...]], bool] = {}
+        for rule, rx, roles, folds in self._scanners:
             if types is not None and rule.mtype not in types:
                 continue
+            if rule.triggers:
+                key = (folds, rule.triggers)
+                hit = present.get(key)
+                if hit is None:
+                    if folds and folded is None:
+                        folded = fold(text)
+                    haystack = folded if folds else text
+                    hit = any(t in haystack for t in rule.triggers)
+                    present[key] = hit
+                if not hit:
+                    continue
             for m in rx.finditer(text):
                 try:
                     built = rule.build(m)

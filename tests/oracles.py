@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the package.
 
 Everything here is written the slow, obvious way on purpose: raw row scans
-instead of indexes, breadth-first closure instead of union-find, and a
-descriptor generator that enumerates grammar-coverable shapes.  Agreement
+instead of indexes, breadth-first closure instead of union-find, every
+grammar rule run over every text instead of only where a trigger occurs,
+and a descriptor generator that enumerates grammar-coverable shapes.  Agreement
 between these and the real implementations is what the tests assert.
 """
 
@@ -13,12 +14,18 @@ import re
 
 from varlex import (
     EditKind,
+    GeneMention,
+    Mention,
+    ParseFailure,
     RegionDescriptor,
     RegionKind,
     SequenceLevel,
     VariantDescriptor,
     canonical_string,
+    classify_descriptor,
+    split_gene_fused,
 )
+from varlex.hgvs import GRAMMAR_RULES, GROUP_ROLES, TYPE_PRIORITY
 
 DNA = "ACGT"
 AA = "ACDEFGHIKLMNPQRSTVWY"
@@ -83,6 +90,86 @@ def brute_force_lookup(
         if item not in deduped:
             deduped.append(item)
     return deduped
+
+
+# ---------------------------------------------------------------------------
+# Recognition: every scanned rule over the whole text
+# ---------------------------------------------------------------------------
+
+_EDGE_BEFORE = r"(?<![0-9A-Za-z])"
+_EDGE_AFTER = r"(?![0-9A-Za-z])"
+_RUN = re.compile(r"[0-9A-Za-z]+(?:(?<=[0-9]),(?=[0-9])[0-9A-Za-z]+)*")
+
+
+def scan_every_rule(
+    text: str, lexicon: frozenset[str] | None = None, doc_id: str = ""
+) -> tuple[list[Mention], list[GeneMention]]:
+    """What ``Recognizer.scan_document`` should return, with no trigger
+    prefilter: every scanned grammar rule runs over the whole text, and each
+    candidate, longest first, is tested for overlap against all kept ones."""
+
+    def byte(i: int) -> int:
+        return len(text[:i].encode("utf-8"))
+
+    # (start, end, type, descriptor or identifier, components, gene hint)
+    candidates = []
+    for rule in GRAMMAR_RULES:
+        if not rule.scan:
+            continue
+        pattern = _EDGE_BEFORE + (rule.scan_pattern or rule.pattern) + _EDGE_AFTER
+        for m in re.finditer(pattern, text, rule.flags):
+            try:
+                built = rule.build(m)
+            except (ValueError, ParseFailure):
+                continue
+            if isinstance(built, str):
+                mtype = rule.mtype
+            else:
+                mtype = classify_descriptor(built)
+            components = {
+                GROUP_ROLES[g]: m.span(g)
+                for g in m.re.groupindex
+                if g in GROUP_ROLES and m.start(g) != m.end(g)
+            }
+            candidates.append((m.start(), m.end(), mtype, built, components, None))
+    genes = []
+    for m in _RUN.finditer(text) if lexicon else ():
+        if m.group() in lexicon:
+            genes.append((m.group(), m.start(), m.end()))
+            continue
+        split = split_gene_fused(m.group(), lexicon)
+        if split is not None:
+            gene, descriptor, cut = split
+            genes.append((gene, m.start(), m.start() + cut))
+            candidates.append((m.start() + cut, m.end(),
+                               classify_descriptor(descriptor), descriptor, {}, gene))
+
+    first = {}
+    for cand in candidates:
+        first.setdefault(cand[:3], cand)
+    ordered = sorted(
+        first.values(),
+        key=lambda c: (c[0] - c[1], c[0], TYPE_PRIORITY.index(c[2])),
+    )
+    kept = []
+    for cand in ordered:
+        if all(cand[1] <= k[0] or k[1] <= cand[0] for k in kept):
+            kept.append(cand)
+    mentions = []
+    for start, end, mtype, built, components, hint in sorted(kept, key=lambda c: c[0]):
+        identifier = built if isinstance(built, str) else None
+        mentions.append(Mention(
+            doc_id=doc_id,
+            start=byte(start),
+            end=byte(end),
+            text=text[start:end],
+            mtype=mtype,
+            components={r: (byte(s), byte(e)) for r, (s, e) in components.items()},
+            descriptor=None if identifier else built,
+            identifier=identifier,
+            gene_hint=hint,
+        ))
+    return mentions, [GeneMention(g, byte(s), byte(e)) for g, s, e in genes]
 
 
 # ---------------------------------------------------------------------------

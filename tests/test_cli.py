@@ -143,6 +143,21 @@ def test_annotate_text_format(kb_path, genes_path, tmp_path, capsys):
     assert docs[1].annotations[0].norm_id == "CA123644"
 
 
+def test_characters_that_fold_to_ascii_do_not_crash(tmp_path, capsys):
+    odd = ["ſerine to alanine", "İsoleucine at codon 12",
+           "cytoſine to adenine", "ſix base pair deletion",
+           "6 base pair deletıon"]
+    src = tmp_path / "odd.txt"
+    src.write_text("\n\n".join(odd) + "\n", encoding="utf-8")
+    code, out, err = run(["annotate", str(src), "--format", "text"], capsys)
+    assert (code, err) == (0, "")
+    docs = read_pubtator_text(out)
+    assert [[a.text for a in d.annotations] for d in docs] == [[t] for t in odd]
+    code, out, _ = run(["parse", odd[0]], capsys)
+    assert code == 0
+    assert out == run(["parse", "serine to alanine"], capsys)[1]
+
+
 def test_annotate_threads_do_not_change_output(corpus_file, kb_path,
                                                genes_path, tmp_path, capsys):
     blocks = []

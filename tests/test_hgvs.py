@@ -1,5 +1,7 @@
 import random
 import re
+import string
+import sys
 
 import pytest
 
@@ -22,7 +24,7 @@ from varlex import (
     parse_identifier,
     region_string,
 )
-from varlex.hgvs import GRAMMAR_RULES, GROUP_NAMES
+from varlex.hgvs import GRAMMAR_RULES, GROUP_NAMES, fold
 
 from oracles import random_descriptor
 
@@ -302,6 +304,30 @@ def test_rule_groups_use_the_builder_vocabulary():
         for pattern in (rule.pattern, rule.scan_pattern or rule.pattern):
             names = set(re.compile(pattern, rule.flags).groupindex)
             assert names <= GROUP_NAMES, (pattern, names - GROUP_NAMES)
+
+
+def test_rule_names_are_unique():
+    names = [rule.name for rule in GRAMMAR_RULES]
+    assert len(set(names)) == len(names)
+
+
+def test_fold_maps_every_ignorecase_letter_to_ascii():
+    # The trigger prefilter and the name tables rely on this: whatever
+    # re.IGNORECASE matches to an ASCII letter, fold turns into that letter.
+    non_ascii = set()
+    for cp in range(sys.maxunicode + 1):
+        c = chr(cp)
+        if not re.fullmatch("[a-z]", c, re.IGNORECASE):
+            continue
+        letter = next(
+            x for x in string.ascii_lowercase
+            if re.fullmatch(x, c, re.IGNORECASE)
+        )
+        assert fold(c) == letter, hex(cp)
+        if not c.isascii():
+            non_ascii.add(c)
+    assert {"\u0130", "\u0131", "\u017f", "\u212a"} <= non_ascii
+    assert fold("İsoleucine ſerine deletıon") == "isoleucine serine deletion"
 
 
 def test_identifier_parsing():

@@ -1,7 +1,10 @@
 import random
+import re
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varlex import (
     ComponentRole,
@@ -12,7 +15,10 @@ from varlex import (
     RegionKind,
     split_gene_fused,
 )
+from varlex.hgvs import GRAMMAR_RULES, fold
 from varlex.tokenizer import byte_slice
+
+from oracles import scan_every_rule
 
 MT = MentionType
 
@@ -263,3 +269,67 @@ def test_randomized_output_invariants(recognizer):
         for m in mentions:
             assert byte_slice(text, m.start, m.end) == m.text
             assert (m.descriptor is None) != (m.identifier is None)
+
+
+@pytest.mark.parametrize(
+    "odd,plain",
+    [
+        ("ſerine to alanine", "serine to alanine"),
+        ("İsoleucine at codon 12", "Isoleucine at codon 12"),
+        ("cytoſine to adenine", "cytosine to adenine"),
+        ("ſix base pair deletion", "six base pair deletion"),
+        ("6 base pair deletıon", "6 base pair deletion"),
+    ],
+)
+def test_characters_that_fold_to_ascii_read_like_ascii(
+    recognizer, annotator, odd, plain
+):
+    # re.IGNORECASE matches these spellings, so the builders must read them.
+    (a,), (b,) = recognizer.recognize(odd), recognizer.recognize(plain)
+    assert a.text == odd
+    assert (a.mtype, a.descriptor) == (b.mtype, b.descriptor)
+    ids = [
+        [x.norm_id for x in annotator.annotate_text(t).annotations]
+        for t in (odd, plain)
+    ]
+    assert ids[0] == ids[1]
+
+
+_TRIGGERED_RULES = [r for r in GRAMMAR_RULES if r.scan and r.triggers]
+
+
+@pytest.mark.parametrize("rule", _TRIGGERED_RULES, ids=lambda r: r.name)
+@given(data=st.data())
+@settings(deadline=None)
+def test_every_scan_match_holds_a_trigger(rule, data):
+    pattern = re.compile(rule.scan_pattern or rule.pattern, rule.flags)
+    surface = data.draw(st.from_regex(pattern, fullmatch=True))
+    haystack = fold(surface) if rule.flags & re.IGNORECASE else surface
+    assert any(t in haystack for t in rule.triggers), (rule.name, surface)
+
+
+# Surfaces of every scanned rule, the four characters that fold to ASCII
+# letters, and non-ASCII filler.  An empty separator lets pieces fuse.
+_PIECES = [
+    "rs113488022", "RS12", "NM_203475.1", "c.1799T>A", "1799T/A",
+    "c.35_36delGA", "1976A", "A>T", "G/C", "adenine to guanine",
+    "CYTOſINE to thymine", "V600E", "p.Val600Glu", "Val600fs", "V600del",
+    "p.Gln659", "p.V600", "A1976", "glutamine at codon 659",
+    "İsoleucine at residue 12", "serine to alanine", "ſerine to ALANINE",
+    "Ala to Gly", "V>E", "306 base pair insertion", "ſix base pair deletıon",
+    "chr7:156583796-156584569 deletion", "deletion of chr7:1-2",
+    "Chr10: 46123781-51028772", "10q11.12", "chromosome 7 q 31",
+    "BRAF", "BRAFV600E", "KRAS", "ſ", "ı", "İ", "K", "же", "β", "→", "–",
+    "碱基", "to", "at",
+]
+
+
+@given(st.lists(st.tuples(st.sampled_from(_PIECES),
+                          st.sampled_from(["", " ", "; ", "\u00a0"])),
+                max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_scan_matches_every_rule_oracle(recognizer, lexicon, pieces):
+    text = "".join(piece + sep for piece, sep in pieces)
+    assert recognizer.scan_document(text, "d") == scan_every_rule(
+        text, lexicon, "d"
+    )

@@ -6,12 +6,13 @@ other ("P799" next to "P799L").  Groups are the transitive closure of those
 links; every member then reports the most specific identifier the group
 reached together.
 
-Links are found by key, not by testing every pair: each mention joins the
-first mention seen with its rendered id or with any of its KB records.
-Only the prefix link is tested pairwise, and only inside a bucket of
-substitutions sharing (level, position, wild-type).  One pass builds the
-closure and, over fully specified members, the finer closure that decides
-ambiguity.
+No link is found by testing pairs: each mention joins the first mention
+seen with its rendered id or with any of its KB records.  Prefix links are
+found by class: substitutions sharing (level, position, wild type) split
+into classes by (has mutant, gene), and a class links to the classes of the
+other kind whose gene agrees.  One pass builds the closure and, over fully
+specified members, the finer closure that decides ambiguity; the prefix
+links are added after it.
 """
 
 from __future__ import annotations
@@ -77,11 +78,6 @@ def _effective_gene(m: Mention) -> str | None:
     return m.gene_context or m.gene_hint
 
 
-def _genes_agree(a: Mention, b: Mention) -> bool:
-    ga, gb = _effective_gene(a), _effective_gene(b)
-    return ga is None or gb is None or ga == gb
-
-
 def group_mentions(
     mentions: list[Mention],
     ids: list[NormalizedId],
@@ -104,7 +100,8 @@ def group_mentions(
     is_decided = [False] * n
     first: dict = {}  # link key -> first mention carrying it
     first_decided: dict = {}
-    buckets: dict[tuple, list[int]] = {}  # (level, position, wild type)
+    # (level, position, wild type) -> (has mutant, gene) -> members
+    buckets: dict[tuple, dict[tuple[bool, str | None], list[int]]] = {}
     for i, (m, nid) in enumerate(zip(mentions, ids)):
         d = m.descriptor
         is_decided[i] = nid.kind is not IdKind.UNNORMALIZED and not (
@@ -114,13 +111,17 @@ def group_mentions(
             closure.union(i, first.setdefault(key, i))
             if is_decided[i]:
                 decided.union(i, first_decided.setdefault(key, i))
-        if isinstance(d, VariantDescriptor) and d.edit_kind is EditKind.SUBSTITUTION:
-            bucket = buckets.setdefault((d.level, d.position, d.ref_allele), [])
-            for j in bucket:
-                other = mentions[j]
-                if is_prefix_compatible(other.descriptor, d) and _genes_agree(other, m):
-                    closure.union(j, i)
-            bucket.append(i)
+        if (
+            isinstance(d, VariantDescriptor)
+            and d.edit_kind is EditKind.SUBSTITUTION
+            and d.position is not None
+            and d.ref_allele is not None
+        ):
+            classes = buckets.setdefault((d.level, d.position, d.ref_allele), {})
+            key = (d.alt_allele is not None, _effective_gene(m))
+            classes.setdefault(key, []).append(i)
+    for classes in buckets.values():
+        _link_prefix_classes(classes, closure)
 
     clusters: dict[int, list[int]] = {}
     for i in range(n):
@@ -133,6 +134,39 @@ def group_mentions(
         ambiguous = len(identities) > 1 or any(ids[i].ambiguous for i in members)
         groups.append(VariantGroup(members, _best_id(members, ids), ambiguous))
     return groups
+
+
+def _link_prefix_classes(
+    classes: dict[tuple[bool, str | None], list[int]], closure: _UnionFind
+) -> None:
+    """Prefix links inside one (level, position, wild type) bucket.
+
+    Every member of a class with a mutant is prefix-compatible with every
+    member of a class without one, and the reverse; the link holds when
+    their genes agree, a missing gene agreeing with any.  So two partner
+    classes are completely linked, and one union per member and one per
+    partner pair give the closure that testing every pair would.  A class
+    with no partner stays apart, even within itself.
+    """
+    linked: set[tuple[bool, str | None]] = set()
+    for (has_mutant, gene), members in classes.items():
+        if not has_mutant:
+            continue
+        if gene is None:
+            partners = [key for key in classes if not key[0]]
+        else:
+            partners = [
+                key for key in ((False, gene), (False, None)) if key in classes
+            ]
+        for key in partners:
+            closure.union(members[0], classes[key][0])
+            linked.add(key)
+        if partners:
+            linked.add((has_mutant, gene))
+    for key in linked:
+        first, *rest = classes[key]
+        for j in rest:
+            closure.union(first, j)
 
 
 def _link_keys(m: Mention, nid: NormalizedId, kb: KnowledgeBase) -> list:

@@ -10,6 +10,7 @@ holds.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -193,8 +194,45 @@ def normalize(
     return UNNORMALIZED
 
 
-def _midpoint(start: int, end: int) -> float:
-    return (start + end) / 2.0
+def gene_contexts(
+    mentions: list[Mention],
+    gene_mentions: list[GeneMention],
+    sentences: list[tuple[int, int]] | None = None,
+) -> list[str | None]:
+    """The gene each mention most plausibly belongs to, in mention order.
+
+    The rule is :func:`resolve_gene_context`'s.  Genes never overlap, so in
+    text order their midpoints and their ends increase too; each mention
+    costs a few bisections.  Midpoints are kept doubled (start + end) so
+    that they stay integers.
+    """
+    if not gene_mentions:
+        return [m.gene_hint for m in mentions]
+    mids = [g.start + g.end for g in gene_mentions]
+    ends = [g.end for g in gene_mentions]
+    starts = [s for s, _ in sentences] if sentences else []
+    out: list[str | None] = []
+    for m in mentions:
+        if m.gene_hint:
+            out.append(m.gene_hint)
+            continue
+        lo, hi = 0, len(mids)
+        k = bisect_right(starts, m.start) - 1
+        if k >= 0 and m.start < sentences[k][1]:
+            s0, s1 = sentences[k]
+            lo, hi = bisect_left(mids, 2 * s0), bisect_left(mids, 2 * s1)
+        if lo < hi:
+            # The nearest midpoint is a neighbour of the mention's own; the
+            # one before it wins a tie, as the earlier start.
+            mid = m.start + m.end
+            j = bisect_left(mids, mid, lo, hi)
+            if j == hi or (j > lo and mid - mids[j - 1] <= mids[j] - mid):
+                j -= 1
+            out.append(gene_mentions[j].symbol)
+            continue
+        j = bisect_right(ends, m.start)
+        out.append(gene_mentions[j - 1].symbol if j else None)
+    return out
 
 
 def resolve_gene_context(
@@ -206,37 +244,14 @@ def resolve_gene_context(
 
     A gene fused onto the mention always wins.  Otherwise the nearest gene
     in the same sentence (by byte midpoint, earlier on ties), then the
-    nearest gene anywhere before the mention.  Without sentence spans the
-    whole text counts as one sentence.
+    nearest gene anywhere before the mention.  Without sentence spans, or
+    when no span holds the mention's start, the whole text counts as one
+    sentence.
+
+    ``gene_mentions`` must be in text order, as ``scan_document`` and
+    ``find_gene_mentions`` return them, and ``sentences`` as
+    ``split_sentences`` returns them: sorted spans that do not overlap.
+    For many mentions of one document, :func:`gene_contexts` does the same
+    in one pass.
     """
-    if mention.gene_hint:
-        return mention.gene_hint
-    if not gene_mentions:
-        return None
-    mid = _midpoint(mention.start, mention.end)
-    if sentences is None:
-        sentence = (0, float("inf"))
-    else:
-        sentence = next(
-            (s for s in sentences if s[0] <= mention.start < s[1]),
-            (0, float("inf")),
-        )
-    in_sentence = [
-        g
-        for g in gene_mentions
-        if sentence[0] <= _midpoint(g.start, g.end) < sentence[1]
-    ]
-    if in_sentence:
-        best = min(
-            in_sentence,
-            key=lambda g: (abs(_midpoint(g.start, g.end) - mid), g.start),
-        )
-        return best.symbol
-    preceding = [g for g in gene_mentions if g.end <= mention.start]
-    if preceding:
-        best = min(
-            preceding,
-            key=lambda g: (mid - _midpoint(g.start, g.end), g.start),
-        )
-        return best.symbol
-    return None
+    return gene_contexts([mention], gene_mentions, sentences)[0]

@@ -17,8 +17,8 @@ from .kb import KnowledgeBase
 from .normalizer import (
     DEFAULT_POLICY,
     NormalizationPolicy,
+    gene_contexts,
     normalize,
-    resolve_gene_context,
 )
 from .recognizer import Recognizer
 from .tokenizer import split_sentences
@@ -43,12 +43,12 @@ class Annotator:
         """The same document with annotations replaced by pipeline output."""
         text = doc.full_text
         mentions, genes = self.recognizer.scan_document(text, doc.doc_id)
-        # Without both a mention and a gene, no gene context reads sentences.
-        sentences = split_sentences(text) if mentions and genes else None
-        for mention in mentions:
-            mention.gene_context = resolve_gene_context(
-                mention, genes, sentences
-            )
+        if mentions:
+            # Without a gene, no gene context reads sentences.
+            sentences = split_sentences(text) if genes else None
+            contexts = gene_contexts(mentions, genes, sentences)
+            for mention, gene in zip(mentions, contexts):
+                mention.gene_context = gene
         ids = [normalize(m, self.kb, policy=self.policy) for m in mentions]
         if self.group:
             groups = group_mentions(mentions, ids, self.kb)

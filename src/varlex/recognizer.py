@@ -11,7 +11,9 @@ are UTF-8 byte positions into the scanned text.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import ParseFailure
 from .hgvs import (
@@ -100,6 +102,11 @@ _REGION_TYPES = frozenset({
 })
 
 
+@lru_cache(maxsize=8)
+def _longest_symbol(lexicon: frozenset[str]) -> int:
+    return max(map(len, lexicon), default=0)
+
+
 def split_gene_fused(
     token_text: str, lexicon: frozenset[str]
 ) -> tuple[str, Descriptor, int] | None:
@@ -109,7 +116,9 @@ def split_gene_fused(
     mutation grammar for the split to count.  Returns (gene, descriptor,
     split offset) or None.  Matching is case-sensitive on both halves.
     """
-    for cut in range(len(token_text) - 1, 0, -1):
+    # No prefix longer than the longest symbol can be a gene, so a long run
+    # costs one slice per possible gene length, not one per character.
+    for cut in range(min(len(token_text) - 1, _longest_symbol(lexicon)), 0, -1):
         prefix = token_text[:cut]
         if prefix not in lexicon:
             continue
@@ -241,23 +250,27 @@ class Recognizer:
 
     @staticmethod
     def _resolve(candidates: list[_Candidate]) -> list[_Candidate]:
-        seen: set[tuple[int, int, MentionType]] = set()
-        unique: list[_Candidate] = []
-        for cand in candidates:
-            key = (cand.start, cand.end, cand.mtype)
-            if key in seen:
-                continue
-            seen.add(key)
-            unique.append(cand)
-        unique.sort(
-            key=lambda c: (c.start - c.end, c.start, _PRIORITY_INDEX[c.mtype])
+        # The sort is stable: of candidates sharing (start, end, type) the
+        # first in input order is tried first, and the later ones overlap it
+        # or whatever beat it.
+        ordered = sorted(
+            candidates,
+            key=lambda c: (c.start - c.end, c.start, _PRIORITY_INDEX[c.mtype]),
         )
+        # Kept spans, in start order.  They never overlap and none is empty,
+        # so start order is also end order: of the kept spans starting before
+        # a candidate ends, the last one ends latest, and the candidate
+        # overlaps one of them exactly when it overlaps that one.
+        starts: list[int] = []
+        ends: list[int] = []
         kept: list[_Candidate] = []
-        for cand in unique:
-            if any(cand.start < k.end and k.start < cand.end for k in kept):
+        for cand in ordered:
+            i = bisect_left(starts, cand.end)
+            if i and ends[i - 1] > cand.start:
                 continue
-            kept.append(cand)
-        kept.sort(key=lambda c: c.start)
+            starts.insert(i, cand.start)
+            ends.insert(i, cand.end)
+            kept.insert(i, cand)
         return kept
 
     def _finalize(

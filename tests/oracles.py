@@ -3,6 +3,7 @@
 Everything here is written the slow, obvious way on purpose: raw row scans
 instead of indexes, breadth-first closure instead of union-find, every
 grammar rule run over every text instead of only where a trigger occurs,
+overlap and gene context tested against every kept span and every gene,
 and a descriptor generator that enumerates grammar-coverable shapes.  Agreement
 between these and the real implementations is what the tests assert.
 """
@@ -144,19 +145,8 @@ def scan_every_rule(
             candidates.append((m.start() + cut, m.end(),
                                classify_descriptor(descriptor), descriptor, {}, gene))
 
-    first = {}
-    for cand in candidates:
-        first.setdefault(cand[:3], cand)
-    ordered = sorted(
-        first.values(),
-        key=lambda c: (c[0] - c[1], c[0], TYPE_PRIORITY.index(c[2])),
-    )
-    kept = []
-    for cand in ordered:
-        if all(cand[1] <= k[0] or k[1] <= cand[0] for k in kept):
-            kept.append(cand)
     mentions = []
-    for start, end, mtype, built, components, hint in sorted(kept, key=lambda c: c[0]):
+    for start, end, mtype, built, components, hint in arbitrate(candidates):
         identifier = built if isinstance(built, str) else None
         mentions.append(Mention(
             doc_id=doc_id,
@@ -170,6 +160,72 @@ def scan_every_rule(
             gene_hint=hint,
         ))
     return mentions, [GeneMention(g, byte(s), byte(e)) for g, s, e in genes]
+
+
+def arbitrate(candidates: list[tuple]) -> list[tuple]:
+    """Overlap arbitration, pair by pair.  Each candidate is a tuple that
+    starts (start, end, type); the first of each such triple counts.  Longest
+    first, then leftmost, then type priority, a candidate is kept when it
+    overlaps none kept so far.  The kept ones come back in start order."""
+    first = {}
+    for cand in candidates:
+        first.setdefault(cand[:3], cand)
+    ordered = sorted(
+        first.values(),
+        key=lambda c: (c[0] - c[1], c[0], TYPE_PRIORITY.index(c[2])),
+    )
+    kept = []
+    for cand in ordered:
+        if all(cand[1] <= k[0] or k[1] <= cand[0] for k in kept):
+            kept.append(cand)
+    return sorted(kept, key=lambda c: c[0])
+
+
+# ---------------------------------------------------------------------------
+# Gene context: list scans
+# ---------------------------------------------------------------------------
+
+def gene_context_oracle(mention, gene_mentions, sentences=None):
+    """The gene context rule by scanning every sentence and every gene:
+    a fused hint, else the in-sentence gene with the nearest midpoint
+    (earlier start on ties), else the nearest gene ending before the
+    mention.  A mention no sentence holds, or no sentences at all, sees the
+    whole text as its sentence."""
+    if mention.gene_hint:
+        return mention.gene_hint
+    if not gene_mentions:
+        return None
+
+    def midpoint(start, end):
+        return (start + end) / 2.0
+
+    mid = midpoint(mention.start, mention.end)
+    if sentences is None:
+        sentence = (0, float("inf"))
+    else:
+        sentence = next(
+            (s for s in sentences if s[0] <= mention.start < s[1]),
+            (0, float("inf")),
+        )
+    in_sentence = [
+        g
+        for g in gene_mentions
+        if sentence[0] <= midpoint(g.start, g.end) < sentence[1]
+    ]
+    if in_sentence:
+        best = min(
+            in_sentence,
+            key=lambda g: (abs(midpoint(g.start, g.end) - mid), g.start),
+        )
+        return best.symbol
+    preceding = [g for g in gene_mentions if g.end <= mention.start]
+    if preceding:
+        best = min(
+            preceding,
+            key=lambda g: (mid - midpoint(g.start, g.end), g.start),
+        )
+        return best.symbol
+    return None
 
 
 # ---------------------------------------------------------------------------

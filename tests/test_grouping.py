@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from varlex import (
+    UNNORMALIZED,
     IdKind,
     KnowledgeBase,
     Recognizer,
@@ -234,3 +237,33 @@ def test_closure_matches_bfs_oracle_on_random_docs(kb):
             flagged += g.ambiguous
         total += len(groups)
     assert 0 < flagged < total
+
+
+
+# One (protein, 600, V) bucket under prefix links alone: no KB and no ids,
+# so no other link can form.
+@given(st.lists(st.tuples(st.sampled_from(["V600", "V600E", "V600K"]),
+                          st.sampled_from([None, "A", "B", "C"])),
+                min_size=1, max_size=30))
+# Two incomplete forms with one gene and no mutant partner: two groups.
+@example([("V600", "A"), ("V600", "A")])
+@example([("V600E", None), ("V600", "A"), ("V600", "B"), ("V600K", "C")])
+@settings(max_examples=300, deadline=None)
+def test_prefix_bucket_closure_matches_pairwise_oracle(members):
+    surfaces = [surface for surface, _ in members]
+    mentions = Recognizer().recognize("; ".join(surfaces) + ".")
+    assert [m.text for m in mentions] == surfaces
+    for m, (_, gene) in zip(mentions, members):
+        m.gene_context = gene
+    empty = KnowledgeBase(())
+    groups = group_mentions(mentions, [UNNORMALIZED] * len(mentions), empty)
+
+    def linked(i, j):
+        a, b = mentions[i], mentions[j]
+        ga, gb = a.gene_context, b.gene_context
+        return oracles.prefix_compatible(a.descriptor, b.descriptor) and (
+            ga is None or gb is None or ga == gb
+        )
+
+    want = oracles.closure_partition(len(mentions), linked)
+    assert [g.members for g in groups] == want

@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from varlex import (
     GeneMention,
     IdKind,
     KnowledgeBase,
+    Mention,
+    MentionType,
     NormalizationPolicy,
     NormalizedId,
     Recognizer,
@@ -13,7 +17,10 @@ from varlex import (
     parse_rendered,
     resolve_gene_context,
 )
+from varlex.normalizer import gene_contexts
 from varlex.tokenizer import split_sentences
+
+from oracles import gene_context_oracle
 
 
 def mention_for(recognizer, text, surface=None):
@@ -223,3 +230,39 @@ def test_sentences_default_is_whole_text(recognizer):
     # Without sentence spans everything shares one sentence, so the later
     # BRAF becomes eligible.
     assert resolve_gene_context(m, genes) == "BRAF"
+
+
+def test_gene_ending_where_the_mention_starts_precedes_it():
+    # The gene's sentence is not the mention's, so it can only count as the
+    # gene before the mention.
+    m = Mention("d", 10, 15, "V600E", MentionType.PROTEIN_MUTATION)
+    genes = [GeneMention("BRAF", 6, 10)]
+    assert gene_contexts([m], genes, [(0, 9), (9, 20)]) == ["BRAF"]
+
+
+# Lexicon genes, fused forms, variant surfaces, sentence breaks and
+# non-ASCII filler.  Four-letter genes around five-character variants put
+# two genes at the same distance ("BRAF V600E KRAS").
+_CONTEXT_PIECES = [
+    "BRAF", "KRAS", "TP53", "EGFR", "BRAFV600E", "KRASG12D", "V600E", "G12D",
+    "p.V600", "c.1799T>A", "rs113488022", ". The", ". Then", "and", "же",
+    "β", "碱基", " ",
+]
+
+
+@given(st.lists(st.tuples(st.sampled_from(_CONTEXT_PIECES),
+                          st.sampled_from(["", " ", ". ", "; "])),
+                max_size=16))
+@example([("BRAF", " "), ("V600E", " "), ("KRAS", ".")])
+@example([("KRAS", " "), ("and", " "), ("EGFR", " "), ("G12D", " "),
+          ("KRAS", " "), ("and", " "), ("EGFR", ". ")])
+@settings(max_examples=300, deadline=None)
+def test_gene_contexts_match_list_scan_oracle(recognizer, pieces):
+    text = "".join(piece + sep for piece, sep in pieces)
+    mentions, genes = recognizer.scan_document(text)
+    sentences = split_sentences(text)
+    # Every other sentence leaves mentions that no sentence holds.
+    for spans in (sentences, None, sentences[::2]):
+        want = [gene_context_oracle(m, genes, spans) for m in mentions]
+        assert gene_contexts(mentions, genes, spans) == want, (text, spans)
+        assert [resolve_gene_context(m, genes, spans) for m in mentions] == want

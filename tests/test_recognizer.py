@@ -1,5 +1,6 @@
 import random
 import re
+import statistics
 import time
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varlex import (
+    Annotator,
     ComponentRole,
     EditKind,
     GeneMention,
@@ -16,9 +18,10 @@ from varlex import (
     split_gene_fused,
 )
 from varlex.hgvs import GRAMMAR_RULES, fold
+from varlex.recognizer import _Candidate
 from varlex.tokenizer import byte_slice
 
-from oracles import scan_every_rule
+from oracles import arbitrate, scan_every_rule
 
 MT = MentionType
 
@@ -137,6 +140,13 @@ def test_fused_split_prefers_longest_gene():
     assert gene == "BRAF"
     assert cut == 4
     assert descriptor.position == 600
+
+
+def test_fused_split_reaches_the_longest_symbol():
+    # Cuts start at the longest symbol's length, so a gene of exactly that
+    # length is the first prefix tried.
+    gene, _, cut = split_gene_fused("BRAFV600E", frozenset({"BRAF"}))
+    assert (gene, cut) == ("BRAF", 4)
 
 
 def test_fused_split_is_case_sensitive(recognizer):
@@ -333,3 +343,82 @@ def test_scan_matches_every_rule_oracle(recognizer, lexicon, pieces):
     assert recognizer.scan_document(text, "d") == scan_every_rule(
         text, lexicon, "d"
     )
+
+
+# Crowded candidate lists: short texts so spans nest and overlap, a few
+# types so equal spans tie on type, and repeats of one (start, end, type)
+# told apart by what they built.
+@given(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 8),
+                          st.sampled_from(list(MT)[:4])),
+                max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_arbitration_matches_pairwise_oracle(spans):
+    candidates = [
+        _Candidate(start, start + length, mtype, f"c{i}", ())
+        for i, (start, length, mtype) in enumerate(spans)
+    ]
+    want = arbitrate([(c.start, c.end, c.mtype, c) for c in candidates])
+    assert Recognizer._resolve(candidates) == [t[3] for t in want]
+
+
+def _min_seconds(annotator, texts):
+    # Interleaved, so a slow spell of the machine hits every size alike.
+    best = [float("inf")] * len(texts)
+    for _ in range(3):
+        for k, text in enumerate(texts):
+            started = time.perf_counter()
+            annotator.annotate_text(text)
+            best[k] = min(best[k], time.perf_counter() - started)
+    return best
+
+
+def _doubling_ratio(annotator, build):
+    """How much longer ``build(2 * n)`` takes to annotate than ``build(n)``,
+    for the first doubled n whose text takes 25 ms.  The median of five
+    min-of-3 ratios: a shared machine slows single runs by a third."""
+    n = 25
+    while _min_seconds(annotator, [build(n)])[0] < 0.025:
+        n *= 2
+    texts = [build(n), build(2 * n)]
+    return statistics.median(
+        twice / once
+        for once, twice in (_min_seconds(annotator, texts) for _ in range(5))
+    )
+
+
+def _gene_symbol(i):
+    # Letters only, so "GENEAB V600" stays a gene and a mention.
+    letters = ""
+    i += 1
+    while i:
+        i, r = divmod(i - 1, 26)
+        letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"[r] + letters
+    return "GENE" + letters
+
+
+def _distinct_genes(n):
+    # Each sentence pair puts another gene's classes into the one
+    # (protein, 600, V) prefix bucket.
+    return "".join(
+        f"{_gene_symbol(i)} V600. {_gene_symbol(i)} V600E. " for i in range(n)
+    )
+
+
+@pytest.mark.parametrize("unit", [
+    "Ala1 ", "A>", "V600E ", "BRAF V600E. ", "p.V600 ", "A1", _distinct_genes,
+], ids=lambda u: u if isinstance(u, str) else "distinct_genes")
+def test_dense_input_scales_linearly(annotator, unit):
+    if isinstance(unit, str):
+        build = unit.__mul__
+    else:
+        build = unit
+        annotator = Annotator(
+            lexicon=frozenset(_gene_symbol(i) for i in range(20_000))
+        )
+    assert _doubling_ratio(annotator, build) <= 2.5
+
+
+def test_dense_allele_run_is_fast(annotator):
+    started = time.perf_counter()
+    annotator.annotate_text("Ala1 " * 6400)
+    assert time.perf_counter() - started < 1.0

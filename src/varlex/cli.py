@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit per-mention identifiers without document-level grouping",
     )
     annotate.add_argument(
-        "--threads", type=int, default=1, help="worker threads (default 1)"
+        "--threads", type=int, default=1, help="worker processes (default 1)"
     )
     annotate.add_argument(
         "--format", choices=("pubtator", "text"), default="pubtator",

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import copyreg
+
 
 class VarlexError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __reduce__(self):
+        # Unpickling rebuilds the error from its message and attributes
+        # without calling __init__, whose arguments differ in every
+        # subclass, so an error raised in a worker process reaches the
+        # caller with its type, message and attributes.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ParseFailure(VarlexError):

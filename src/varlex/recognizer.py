@@ -309,10 +309,15 @@ class Recognizer:
         self, text: str, doc_id: str = ""
     ) -> tuple[list[Mention], list[GeneMention]]:
         """Variant mentions and gene mentions of one text, in one pass."""
+        return self._scan_document(text, doc_id, byte_offsets(text))
+
+    def _scan_document(
+        self, text: str, doc_id: str, table: list[int] | None
+    ) -> tuple[list[Mention], list[GeneMention]]:
+        """``scan_document`` with the text's ``byte_offsets`` table given."""
         gene_spans, fused = self._token_hits(text)
         candidates = self._rule_candidates(text, None)
         candidates.extend(fused)
-        table = byte_offsets(text)
         mentions = self._finalize(text, doc_id, candidates, table)
         genes = [
             GeneMention(symbol, *to_byte_span(table, s, e))

@@ -125,9 +125,11 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
 
     The trailing whitespace of a boundary belongs to the sentence it closes.
     """
-    if not text:
-        return []
-    table = byte_offsets(text)
+    return _sentence_spans(text, byte_offsets(text))
+
+
+def _sentence_spans(text: str, table: list[int] | None) -> list[tuple[int, int]]:
+    """``split_sentences`` with the text's ``byte_offsets`` table given."""
     spans = []
     start = 0
     for m in _SENT_BREAK.finditer(text):

@@ -358,4 +358,4 @@ def test_criterion_9_throughput_and_thread_invariance(kb, lexicon, capsys):
         assert write_pubtator(single) == write_pubtator(multi)
 
     _verdict(capsys, 9, "10,000 documents annotate in under a minute and "
-                        "thread count never changes output", check)
+                        "worker count never changes output", check)

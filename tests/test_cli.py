@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from varlex import read_pubtator_text, write_pubtator
+from varlex import Document, read_pubtator, read_pubtator_text, write_pubtator
 from varlex.cli import main
 
 from conftest import data_path
@@ -302,3 +302,29 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "type: ProteinMutation" in proc.stdout
+
+
+def test_parallel_cli_exits_cleanly_in_its_own_interpreter(kb_path, genes_path,
+                                                          tmp_path):
+    sample = read_pubtator(data_path("sample_corpus.txt"))
+    docs = [
+        Document(f"{i}{d.doc_id}", d.title, d.abstract)
+        for i in range(17) for d in sample
+    ]
+    assert len(docs) >= 200
+    src = tmp_path / "corpus.txt"
+    src.write_text(write_pubtator(docs), encoding="utf-8")
+    outputs = []
+    for threads in ("1", "2"):
+        # Workers inherit stdout, so capturing it waits for every process
+        # that holds it: returning within the timeout means that no worker
+        # outlived the command.
+        proc = subprocess.run(
+            [sys.executable, "-m", "varlex.cli", "annotate", str(src),
+             "--kb", kb_path, "--genes", genes_path, "--threads", threads],
+            capture_output=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(read_pubtator_text(outputs[1].decode("utf-8"))) == len(docs)

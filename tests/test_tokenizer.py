@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varlex import Token, TokenKind, split_sentences, tokenize
-from varlex.tokenizer import byte_offsets, byte_slice, to_byte_span
+from varlex.tokenizer import _sentence_spans, byte_offsets, byte_slice, to_byte_span
 
 
 def kinds(text):
@@ -160,3 +160,32 @@ def test_sentence_spans_always_partition(text):
     assert spans[-1][1] == len(text.encode("utf-8"))
     for (_, e1), (s2, _) in zip(spans, spans[1:]):
         assert e1 == s2
+
+
+# Non-ASCII prose with sentence breaks, genes and variant mentions.
+_PROSE = st.lists(
+    st.sampled_from([
+        "BRAF", "V600E", "c.1799T>A", "rs113488022", "p.Val600Glu", "We",
+        "saw", "The", "Müller", "α-helix", "→", "😀", "ſerine", ". ", ".",
+        " ", "\n",
+    ]),
+    min_size=1, max_size=40,
+).map("".join).filter(lambda text: not text.isascii())
+
+
+@given(_PROSE)
+@settings(max_examples=200)
+def test_shared_byte_table_serves_scan_and_sentence_split(recognizer, text):
+    # The pipeline builds one table per document for both steps, so the
+    # scan must leave it as it found it.
+    table = byte_offsets(text)
+    scanned = recognizer._scan_document(text, "d", table)
+    spans = _sentence_spans(text, table)
+    assert spans == split_sentences(text)
+    assert scanned == recognizer.scan_document(text, "d")
+    data = text.encode("utf-8")
+    pieces = [data[s:e].decode("utf-8") for s, e in spans]
+    assert "".join(pieces) == text
+    for piece, following in zip(pieces, pieces[1:]):
+        assert piece.rstrip()[-1] == "." and piece[-1].isspace()
+        assert following[0].isupper()

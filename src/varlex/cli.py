@@ -4,7 +4,7 @@ Three subcommands: ``annotate`` runs the full pipeline over a PubTator file
 or plain text, ``parse`` explains a single variant surface form, and
 ``evaluate`` scores a prediction file against a gold file.  Exit status is
 0 on success, 1 when input content cannot be processed, and 2 for usage or
-unreadable-file errors.
+unreadable-file errors and for an output pipe closed by its reader.
 """
 
 from __future__ import annotations
@@ -209,7 +209,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        # Flush inside the try, so that a closed pipe is caught below and
+        # not at exit.  With fd 1 closed there is no stdout to flush.
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed the pipe ("| head").  Point stdout at devnull
+        # so that the flush at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except (FileUnreadable, _OutputUnwritable) as exc:
         print(f"varlex: {exc}", file=sys.stderr)
         return 2

@@ -516,6 +516,13 @@ class GrammarRule:
     For a case-sensitive rule they are exact-case and tested against the
     raw text; for an ``re.IGNORECASE`` rule they are lower-case and tested
     against :func:`fold` of the text.  A rule with no triggers always runs.
+    ``starts`` lists the characters a scan match can begin with, so the
+    recognizer tries the rule only at word starts holding one of them.  It
+    is declared the way ``triggers`` are: exact case for a case-sensitive
+    rule, lower case for an ``re.IGNORECASE`` one, whose other spellings
+    the recognizer adds.  A rule that can begin with a digit lists the
+    ASCII digits it takes; the recognizer also tries it at every other
+    decimal digit, since ``\\d`` matches those too.
     """
 
     name: str
@@ -525,6 +532,7 @@ class GrammarRule:
     scan: bool = True
     scan_pattern: str | None = None
     triggers: tuple[str, ...] = ()
+    starts: str = ""
     rx: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -673,6 +681,13 @@ _AA_NAME_TRIGGERS = (
     "serine", "threonine", "tryptophan", "tyrosine", "valine", "stop",
 )
 
+# Start characters shared by several rules; see GrammarRule.  A position
+# may follow a sequence-level prefix ("c."), a residue a "p." prefix.
+_LEVEL_POS_STARTS = "cgmr123456789"
+_AA1_STARTS = "ACDEFGHIKLMNPQRSTVWY"
+_AA3_STARTS = "ACGHILMPSTV"
+_AA_NAME_STARTS = "acghilmpstv"
+
 GRAMMAR_RULES: tuple[GrammarRule, ...] = (
     # --- identifiers -------------------------------------------------------
     GrammarRule(
@@ -680,12 +695,14 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         MentionType.SNP,
         r"[Rr][Ss](?P<digits>[1-9]\d*)",
         triggers=("rs", "Rs", "rS", "RS"),
+        starts="Rr",
     ),
     GrammarRule(
         "refseq",
         MentionType.REFSEQ,
         r"(?P<acc>(?:NM|NP|NC|NG|NR|XM|XP)_\d+(?:\.\d+)?)",
         triggers=("NM_", "NP_", "NC_", "NG_", "NR_", "XM_", "XP_"),
+        starts="NX",
     ),
     # --- DNA ---------------------------------------------------------------
     GrammarRule(
@@ -694,6 +711,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         r"(?:(?P<lv>[cgmr])\.)?(?P<pos>%s)\s?(?P<wt>%s?)%s(?P<mt>%s)"
         % (_POS, _NUC, _ARROW_SEP, _NUC),
         triggers=_ARROW_TRIGGERS,
+        starts=_LEVEL_POS_STARTS,
     ),
     GrammarRule(
         "dna_slash",
@@ -701,6 +719,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         r"(?:(?P<lv>[cgmr])\.)?(?P<pos>%s)(?P<wt>%s)/(?P<mt>%s)"
         % (_POS, _NUC, _NUC),
         triggers=("/",),
+        starts=_LEVEL_POS_STARTS,
     ),
     GrammarRule(
         "dna_level_edit",
@@ -712,23 +731,27 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
             % (_POS, _POS, _NUC)
         ),
         triggers=("c.", "g.", "m.", "r."),
+        starts="cgmr",
     ),
     GrammarRule(
         "dna_allele",
         MentionType.DNA_ALLELE,
         r"(?:(?P<lv>[cgmr])\.)?(?P<pos>%s)(?P<wt>%s)" % (_POS, _NUC),
+        starts=_LEVEL_POS_STARTS,
     ),
     GrammarRule(
         "dna_change_arrow",
         MentionType.DNA_CHANGE,
         r"(?:(?P<lv>[cgmr])\.)?(?P<wt>%s)%s(?P<mt>%s)" % (_NUC, _ARROW_SEP, _NUC),
         triggers=_ARROW_TRIGGERS,
+        starts="cgmrACGTU",
     ),
     GrammarRule(
         "dna_change_slash",
         MentionType.DNA_CHANGE,
         r"(?P<wt>%s)/(?P<mt>%s)" % (_NUC, _NUC),
         triggers=("/",),
+        starts="ACGTU",
     ),
     GrammarRule(
         "dna_change_words",
@@ -736,18 +759,21 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         r"(?P<wtn>%s)\s+to\s+(?P<mtn>%s)" % (_NUC_NAME, _NUC_NAME),
         flags=re.IGNORECASE,
         triggers=("adenine", "guanine", "cytosine", "thymine", "uracil"),
+        starts="acgtu",
     ),
     # --- protein -----------------------------------------------------------
     GrammarRule(
         "protein_one_letter",
         MentionType.PROTEIN_MUTATION,
         r"(?:p\.)?(?P<wt>%s)(?P<pos>%s)(?P<mt>%s)" % (_AA1, _POS, _AA1_MUT),
+        starts="p" + _AA1_STARTS,
     ),
     GrammarRule(
         "protein_three_letter",
         MentionType.PROTEIN_MUTATION,
         r"(?:p\.)?(?P<wt3>%s)(?P<pos>%s)(?P<mt3>%s)" % (_AA3, _POS, _AA3_MUT),
         triggers=_AA3_TRIGGERS,
+        starts="p" + _AA3_STARTS,
     ),
     GrammarRule(
         "protein_frameshift",
@@ -755,6 +781,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         r"(?:p\.)?(?:(?P<wt>%s)|(?P<wt3>%s))(?P<pos>%s)(?P<ed>fs)"
         % (_AA1, _AA3, _POS),
         triggers=("fs",),
+        starts="p" + _AA1_STARTS,
     ),
     GrammarRule(
         "protein_del_dup",
@@ -762,6 +789,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         r"(?:p\.)?(?:(?P<wt>%s)|(?P<wt3>%s))(?P<pos>%s)(?P<ed>del|dup)"
         % (_AA1, _AA3, _POS),
         triggers=("del", "dup"),
+        starts="p" + _AA1_STARTS,
     ),
     GrammarRule(
         "protein_range_edit",
@@ -777,12 +805,14 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         MentionType.PROTEIN_ALLELE,
         r"(?:p\.)?(?P<wt3>%s)(?P<pos>%s)" % (_AA3, _POS),
         triggers=_AA3_TRIGGERS,
+        starts="p" + _AA3_STARTS,
     ),
     GrammarRule(
         "protein_allele_p",
         MentionType.PROTEIN_ALLELE,
         r"p\.(?P<wt>%s)(?P<pos>%s)" % (_AA1, _POS),
         triggers=("p.",),
+        starts="p",
     ),
     GrammarRule(
         "protein_allele_one_letter",
@@ -791,6 +821,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         # Bare one-letter alleles need two digits in running text; "T4"-style
         # shorthand is too noisy to claim.
         scan_pattern=r"(?P<wt>%s)(?P<pos>[1-9]\d+)" % _AA1,
+        starts=_AA1_STARTS,
     ),
     GrammarRule(
         "protein_allele_words",
@@ -799,6 +830,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         % (_AA_NAME, _POS),
         flags=re.IGNORECASE,
         triggers=("codon", "residue", "position"),
+        starts=_AA_NAME_STARTS,
     ),
     GrammarRule(
         "protein_change_words",
@@ -806,18 +838,21 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         r"(?P<wtn>%s)\s+to\s+(?P<mtn>%s)" % (_AA_NAME, _AA_NAME),
         flags=re.IGNORECASE,
         triggers=_AA_NAME_TRIGGERS,
+        starts=_AA_NAME_STARTS,
     ),
     GrammarRule(
         "protein_change_three_letter",
         MentionType.PROTEIN_CHANGE,
         r"(?:p\.)?(?P<wt3>%s)\s+to\s+(?P<mt3>%s)" % (_AA3, _AA3),
         triggers=_AA3_TRIGGERS,
+        starts="p" + _AA3_STARTS,
     ),
     GrammarRule(
         "protein_change_arrow",
         MentionType.PROTEIN_CHANGE,
         r"(?:p\.)?(?P<wt>%s)%s(?P<mt>%s)" % (_AA1, _ARROW_SEP, _AA1_MUT),
         triggers=_ARROW_TRIGGERS,
+        starts="p" + _AA1_STARTS,
     ),
     # --- natural-language sizes --------------------------------------------
     GrammarRule(
@@ -828,6 +863,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         % (_NUM_WORD, _UNIT, _POS),
         flags=re.IGNORECASE,
         triggers=("deletion", "insertion", "duplication"),
+        starts="0123456789efnost",
     ),
     GrammarRule(
         "edit_size",
@@ -851,6 +887,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         % (_CHR_WORD, _CHROM, _COORD, _COORD),
         flags=re.IGNORECASE,
         triggers=("chr",),
+        starts="c",
     ),
     GrammarRule(
         "cnv_edit_region",
@@ -861,6 +898,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         % (_CHR_WORD, _CHROM, _COORD, _COORD),
         flags=re.IGNORECASE,
         triggers=("chr",),
+        starts="d",
     ),
     GrammarRule(
         "genomic_region",
@@ -868,12 +906,14 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         r"%s(?P<chrom>%s)\s*:\s*(?P<c1>%s)\s*[-–]\s*(?P<c2>%s)"
         % (_CHR_WORD, _CHROM, _COORD, _COORD),
         triggers=("chr", "Chr"),
+        starts="Cc",
     ),
     GrammarRule(
         "chromosome_band",
         MentionType.CHROMOSOME,
         r"(?:%s)?(?P<chrom>[1-9]\d?|[XY])(?P<arm>[pq])(?P<band>\d+(?:\.\d+)?)"
         % _CHR_WORD,
+        starts="Cc123456789XY",
     ),
     GrammarRule(
         "chromosome_words",
@@ -882,6 +922,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         r"(?P<band>\d+(?:\.\d+)?)",
         flags=re.IGNORECASE,
         triggers=("chromosome",),
+        starts="c",
     ),
 )
 

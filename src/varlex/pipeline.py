@@ -27,7 +27,7 @@ from .normalizer import (
     normalize,
 )
 from .recognizer import Recognizer
-from .tokenizer import _sentence_spans, byte_offsets
+from .tokenizer import _sentence_spans
 
 # Batches smaller than this are annotated serially.  Handing out slices
 # and collecting results costs about as much as annotating four short
@@ -69,8 +69,7 @@ class Annotator:
     def annotate_document(self, doc: Document) -> Document:
         """The same document with annotations replaced by pipeline output."""
         text = doc.full_text
-        table = byte_offsets(text)
-        mentions, genes = self.recognizer._scan_document(text, doc.doc_id, table)
+        mentions, genes, table = self.recognizer._scan_document(text, doc.doc_id)
         if mentions:
             # Without a gene, no gene context reads sentences.
             sentences = _sentence_spans(text, table) if genes else None

@@ -1,11 +1,15 @@
 """Locate variant mentions in running text.
 
 Every grammar rule is compiled once with word-boundary guards.  A rule is
-scanned only over text holding one of its trigger literals (a rule without
-triggers is always scanned); overlapping candidates are then arbitrated by
-span length, left position, and concept-type priority, in that order, so
-output never depends on rule order or dictionary iteration.  Mention offsets
-are UTF-8 byte positions into the scanned text.
+tried only on text holding one of its trigger literals (a rule without
+triggers always is), and there only at word starts holding one of its start
+characters.  One pass over the text finds the word starts of every rule in
+play; at each, a rule is matched unless its previous match covers the
+position, which gives exactly the matches of its own ``finditer``.
+Overlapping candidates are then arbitrated by span length, left position,
+and concept-type priority, in that order, so output never depends on rule
+order or dictionary iteration.  Mention offsets are UTF-8 byte positions
+into the scanned text.
 """
 
 from __future__ import annotations
@@ -84,6 +88,22 @@ class _Candidate:
     gene_hint: str | None = None
 
 
+# re.IGNORECASE matches these non-ASCII characters to an ASCII letter too.
+_OTHER_CASES = {"i": "İı", "k": "K", "s": "ſ"}
+_ASCII_DIGITS = frozenset("0123456789")
+
+
+def _expanded_starts(rule: GrammarRule) -> str:
+    """The characters a scan match of ``rule`` can begin with: its
+    ``starts`` and, for an ``re.IGNORECASE`` rule, every other character
+    matching one of them.  Non-ASCII decimal digits are not listed."""
+    starts = rule.starts
+    if rule.flags & re.IGNORECASE:
+        other = "".join(_OTHER_CASES.get(c, "") for c in starts)
+        starts += starts.upper() + other
+    return starts
+
+
 _PRIORITY_INDEX = {t: i for i, t in enumerate(TYPE_PRIORITY)}
 
 # Grammars a gene symbol may be fused against ("BRAFV600E").
@@ -100,6 +120,25 @@ _REGION_TYPES = frozenset({
     MentionType.GENOMIC_REGION,
     MentionType.CHROMOSOME,
 })
+
+
+def _candidate(scanner: tuple, m: re.Match) -> _Candidate | None:
+    """What a scanner's match names, or None when its rule builds nothing
+    from it."""
+    rule, _, roles, _, _ = scanner
+    try:
+        built = rule.build(m)
+    except (ValueError, ParseFailure):
+        return None
+    # A group that took no part spans (-1, -1); an empty one spans nothing.
+    # Neither names a component.
+    comps = [
+        (role, span)
+        for role, group in roles
+        if (span := m.span(group))[0] != span[1]
+    ]
+    mtype = rule.mtype if isinstance(built, str) else classify_descriptor(built)
+    return _Candidate(m.start(), m.end(), mtype, built, tuple(comps))
 
 
 @lru_cache(maxsize=8)
@@ -142,15 +181,22 @@ class Recognizer:
     def __init__(self, lexicon: frozenset[str] | None = None):
         self.lexicon = lexicon
         # Each scanner: its rule, the guarded regex, the component groups,
-        # and whether the rule's triggers are sought in the folded text.
+        # whether the rule's triggers are sought in the folded text, and
+        # the character class body of the characters a match can begin
+        # with (\d standing for the non-ASCII decimal digits).
         self._scanners: list[
             tuple[
                 GrammarRule,
                 re.Pattern,
                 tuple[tuple[ComponentRole, str], ...],
                 bool,
+                str,
             ]
         ] = []
+        # The scanners by start character, and those a non-ASCII decimal
+        # digit may start.
+        self._by_start: dict[str, tuple[int, ...]] = {}
+        self._by_digit: tuple[int, ...] = ()
         for rule in GRAMMAR_RULES:
             if not rule.scan:
                 continue
@@ -162,18 +208,28 @@ class Recognizer:
                 if group in GROUP_ROLES
             )
             folds = bool(rule.flags & re.IGNORECASE)
-            self._scanners.append((rule, rx, roles, folds))
+            k = len(self._scanners)
+            starts = _expanded_starts(rule)
+            for ch in dict.fromkeys(starts):
+                self._by_start[ch] = self._by_start.get(ch, ()) + (k,)
+            chars = re.escape(starts)
+            if not _ASCII_DIGITS.isdisjoint(starts):
+                self._by_digit += (k,)
+                chars += r"\d"
+            self._scanners.append((rule, rx, roles, folds, chars))
 
     # -- candidate generation ----------------------------------------------
 
     def _rule_candidates(
         self, text: str, types: frozenset[MentionType] | None
     ) -> list[_Candidate]:
-        out: list[_Candidate] = []
         folded: str | None = None
         # Whether a trigger set occurs; several rules share one set.
         present: dict[tuple[bool, tuple[str, ...]], bool] = {}
-        for rule, rx, roles, folds in self._scanners:
+        scanners = self._scanners
+        active = [False] * len(scanners)
+        union: list[str] = []
+        for k, (rule, _, _, folds, chars) in enumerate(scanners):
             if types is not None and rule.mtype not in types:
                 continue
             if rule.triggers:
@@ -187,27 +243,29 @@ class Recognizer:
                     present[key] = hit
                 if not hit:
                     continue
-            for m in rx.finditer(text):
-                try:
-                    built = rule.build(m)
-                except (ValueError, ParseFailure):
-                    continue
-                # A group that took no part spans (-1, -1); an empty one
-                # spans nothing.  Neither names a component.
-                comps = [
-                    (role, span)
-                    for role, group in roles
-                    if (span := m.span(group))[0] != span[1]
-                ]
-                mtype = (
-                    rule.mtype
-                    if isinstance(built, str)
-                    else classify_descriptor(built)
-                )
-                out.append(
-                    _Candidate(m.start(), m.end(), mtype, built, tuple(comps))
-                )
-        return out
+            active[k] = True
+            union.append(chars)
+        if not union:
+            return []
+        # One pass over the word starts of the active scanners.  At each, a
+        # scanner is tried unless its previous match covers it, which gives
+        # what its finditer would.  re.compile's cache keeps the finder of
+        # each set of active scanners.
+        finder = re.compile(f"{_GUARD_BEFORE}[{''.join(union)}]")
+        by_start, by_digit = self._by_start, self._by_digit
+        ends = [0] * len(scanners)
+        found: list[list[_Candidate]] = [[] for _ in scanners]
+        for w in finder.finditer(text):
+            s = w.start()
+            for k in by_start.get(w.group(), by_digit):
+                if active[k] and s >= ends[k]:
+                    m = scanners[k][1].match(text, s)
+                    if m is not None:
+                        ends[k] = m.end()
+                        candidate = _candidate(scanners[k], m)
+                        if candidate is not None:
+                            found[k].append(candidate)
+        return [c for candidates in found for c in candidates]
 
     def _token_hits(
         self, text: str
@@ -309,21 +367,38 @@ class Recognizer:
         self, text: str, doc_id: str = ""
     ) -> tuple[list[Mention], list[GeneMention]]:
         """Variant mentions and gene mentions of one text, in one pass."""
-        return self._scan_document(text, doc_id, byte_offsets(text))
+        candidates, gene_spans = self._candidates(text)
+        table = byte_offsets(text)
+        return (
+            self._finalize(text, doc_id, candidates, table),
+            _gene_mentions(gene_spans, table),
+        )
 
     def _scan_document(
-        self, text: str, doc_id: str, table: list[int] | None
-    ) -> tuple[list[Mention], list[GeneMention]]:
-        """``scan_document`` with the text's ``byte_offsets`` table given."""
+        self, text: str, doc_id: str
+    ) -> tuple[list[Mention], list[GeneMention], list[int] | None]:
+        """``scan_document`` and the text's ``byte_offsets`` table.  A text
+        without a mention gives ``([], [], None)``: the pipeline needs
+        neither its genes nor its table, so neither is built."""
+        candidates, gene_spans = self._candidates(text)
+        if not candidates:
+            return [], [], None
+        table = byte_offsets(text)
+        return (
+            self._finalize(text, doc_id, candidates, table),
+            _gene_mentions(gene_spans, table),
+            table,
+        )
+
+    def _candidates(
+        self, text: str
+    ) -> tuple[list[_Candidate], list[tuple[str, int, int]]]:
+        """Every rule and fused-token candidate, and the gene spans, in
+        character coordinates."""
         gene_spans, fused = self._token_hits(text)
         candidates = self._rule_candidates(text, None)
         candidates.extend(fused)
-        mentions = self._finalize(text, doc_id, candidates, table)
-        genes = [
-            GeneMention(symbol, *to_byte_span(table, s, e))
-            for symbol, s, e in gene_spans
-        ]
-        return mentions, genes
+        return candidates, gene_spans
 
     def recognize(self, text: str, doc_id: str = "") -> list[Mention]:
         """All variant mentions in ``text``, sorted, non-overlapping."""
@@ -344,8 +419,13 @@ class Recognizer:
     def find_gene_mentions(self, text: str) -> list[GeneMention]:
         """Exact lexicon hits, including gene prefixes of fused tokens."""
         gene_spans, _ = self._token_hits(text)
-        table = byte_offsets(text)
-        return [
-            GeneMention(symbol, *to_byte_span(table, s, e))
-            for symbol, s, e in gene_spans
-        ]
+        return _gene_mentions(gene_spans, byte_offsets(text))
+
+
+def _gene_mentions(
+    gene_spans: list[tuple[str, int, int]], table: list[int] | None
+) -> list[GeneMention]:
+    return [
+        GeneMention(symbol, *to_byte_span(table, s, e))
+        for symbol, s, e in gene_spans
+    ]

@@ -2,7 +2,8 @@
 
 Everything here is written the slow, obvious way on purpose: raw row scans
 instead of indexes, breadth-first closure instead of union-find, every
-grammar rule run over every text instead of only where a trigger occurs,
+grammar rule run over every text with its own ``finditer`` instead of only
+where a trigger occurs and at the word starts its first character allows,
 overlap and gene context tested against every kept span and every gene,
 and a descriptor generator that enumerates grammar-coverable shapes.  Agreement
 between these and the real implementations is what the tests assert.
@@ -102,20 +103,15 @@ _EDGE_AFTER = r"(?![0-9A-Za-z])"
 _RUN = re.compile(r"[0-9A-Za-z]+(?:(?<=[0-9]),(?=[0-9])[0-9A-Za-z]+)*")
 
 
-def scan_every_rule(
-    text: str, lexicon: frozenset[str] | None = None, doc_id: str = ""
-) -> tuple[list[Mention], list[GeneMention]]:
-    """What ``Recognizer.scan_document`` should return, with no trigger
-    prefilter: every scanned grammar rule runs over the whole text, and each
-    candidate, longest first, is tested for overlap against all kept ones."""
-
-    def byte(i: int) -> int:
-        return len(text[:i].encode("utf-8"))
-
-    # (start, end, type, descriptor or identifier, components, gene hint)
+def rule_candidates_oracle(text: str, types=None) -> list[tuple]:
+    """What ``Recognizer._rule_candidates`` should return, with no trigger
+    prefilter and no word-start pass: each scanned grammar rule of the
+    ``types`` (all when None), in ``GRAMMAR_RULES`` order, runs its guarded
+    ``finditer`` over the whole text.  Each candidate is (start, end, type,
+    descriptor or identifier, components as (role, span) pairs)."""
     candidates = []
     for rule in GRAMMAR_RULES:
-        if not rule.scan:
+        if not rule.scan or (types is not None and rule.mtype not in types):
             continue
         pattern = _EDGE_BEFORE + (rule.scan_pattern or rule.pattern) + _EDGE_AFTER
         for m in re.finditer(pattern, text, rule.flags):
@@ -127,12 +123,30 @@ def scan_every_rule(
                 mtype = rule.mtype
             else:
                 mtype = classify_descriptor(built)
-            components = {
-                GROUP_ROLES[g]: m.span(g)
+            components = tuple(
+                (GROUP_ROLES[g], m.span(g))
                 for g in m.re.groupindex
                 if g in GROUP_ROLES and m.start(g) != m.end(g)
-            }
-            candidates.append((m.start(), m.end(), mtype, built, components, None))
+            )
+            candidates.append((m.start(), m.end(), mtype, built, components))
+    return candidates
+
+
+def scan_every_rule(
+    text: str, lexicon: frozenset[str] | None = None, doc_id: str = ""
+) -> tuple[list[Mention], list[GeneMention]]:
+    """What ``Recognizer.scan_document`` should return, with no trigger
+    prefilter: every scanned grammar rule runs over the whole text, and each
+    candidate, longest first, is tested for overlap against all kept ones."""
+
+    def byte(i: int) -> int:
+        return len(text[:i].encode("utf-8"))
+
+    # (start, end, type, descriptor or identifier, components, gene hint)
+    candidates = [
+        (start, end, mtype, built, dict(components), None)
+        for start, end, mtype, built, components in rule_candidates_oracle(text)
+    ]
     genes = []
     for m in _RUN.finditer(text) if lexicon else ():
         if m.group() in lexicon:

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -328,3 +329,23 @@ def test_parallel_cli_exits_cleanly_in_its_own_interpreter(kb_path, genes_path,
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert len(read_pubtator_text(outputs[1].decode("utf-8"))) == len(docs)
+
+
+@pytest.mark.parametrize("command", [
+    ["parse", "V600E"],
+    ["evaluate", data_path("sample_annotated.txt"),
+     data_path("sample_annotated.txt")],
+    ["annotate", data_path("sample_corpus.txt"), "--threads", "2"],
+], ids=lambda c: c[0])
+def test_closed_output_pipe_exits_quietly(command):
+    # The reader is gone before the command writes, as under "| head -0".
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "varlex.cli", *command],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, b"")

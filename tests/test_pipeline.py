@@ -67,10 +67,10 @@ def test_pool_is_forked_lazily_and_kept(kb, lexicon):
 class _RaisingRecognizer(Recognizer):
     """Raises a typed error on the document with id ``boom``."""
 
-    def _scan_document(self, text, doc_id, table):
+    def _scan_document(self, text, doc_id):
         if doc_id == "boom":
             raise OffsetMismatch(doc_id, 3, 7, "V600E", "V60")
-        return super()._scan_document(text, doc_id, table)
+        return super()._scan_document(text, doc_id)
 
 
 def test_error_in_a_worker_reaches_the_caller_typed(kb, lexicon):

@@ -1,6 +1,7 @@
 import random
 import re
 import statistics
+import sys
 import time
 
 import pytest
@@ -18,10 +19,16 @@ from varlex import (
     split_gene_fused,
 )
 from varlex.hgvs import GRAMMAR_RULES, fold
-from varlex.recognizer import _Candidate
+from varlex.recognizer import (
+    _ASCII_DIGITS,
+    _NL_TYPES,
+    _REGION_TYPES,
+    _Candidate,
+    _expanded_starts,
+)
 from varlex.tokenizer import byte_slice
 
-from oracles import arbitrate, scan_every_rule
+from oracles import arbitrate, rule_candidates_oracle, scan_every_rule
 
 MT = MentionType
 
@@ -318,6 +325,35 @@ def test_every_scan_match_holds_a_trigger(rule, data):
     assert any(t in haystack for t in rule.triggers), (rule.name, surface)
 
 
+_SCANNED_RULES = [r for r in GRAMMAR_RULES if r.scan]
+
+
+@pytest.mark.parametrize("rule", _SCANNED_RULES, ids=lambda r: r.name)
+@given(data=st.data())
+@settings(deadline=None)
+def test_every_scan_match_begins_with_a_start(rule, data):
+    pattern = re.compile(rule.scan_pattern or rule.pattern, rule.flags)
+    surface = data.draw(st.from_regex(pattern, fullmatch=True))
+    first, starts = surface[0], _expanded_starts(rule)
+    # \d also matches non-ASCII decimal digits, and the recognizer tries a
+    # rule with an ASCII digit start at those too.
+    digit = first.isdecimal() and not _ASCII_DIGITS.isdisjoint(starts)
+    assert first in starts or digit, (rule.name, surface)
+
+
+def test_expanded_starts_are_every_ignorecase_spelling():
+    # from_regex makes case variants with swapcase() only, so it never
+    # draws the four non-ASCII letters re.IGNORECASE matches to ASCII ones.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    folding = [r for r in _SCANNED_RULES if r.flags & re.IGNORECASE]
+    assert folding
+    for rule in folding:
+        assert rule.starts == rule.starts.lower(), rule.name
+        declared = re.compile("[%s]" % re.escape(rule.starts), re.IGNORECASE)
+        spellings = set(declared.findall(every))
+        assert spellings == set(_expanded_starts(rule)), rule.name
+
+
 # Surfaces of every scanned rule, the four characters that fold to ASCII
 # letters, and non-ASCII filler.  An empty separator lets pieces fuse.
 _PIECES = [
@@ -343,6 +379,64 @@ def test_scan_matches_every_rule_oracle(recognizer, lexicon, pieces):
     assert recognizer.scan_document(text, "d") == scan_every_rule(
         text, lexicon, "d"
     )
+
+
+# Texts that work the word-start pass at its edges, with candidates each
+# must yield: a match after a digit-grouping comma; a word start inside a
+# match, which finditer skips ("T>C" is not a candidate); a match starting
+# where another ends (under the guards, never where the same rule's last
+# match ends); fold characters and non-ASCII digits at word starts.
+_EDGE_CASES = {
+    "1,234A": [(MT.DNA_ALLELE, "234A")],
+    "A>T>C": [(MT.DNA_CHANGE, "A>T"), (MT.PROTEIN_CHANGE, "A>T")],
+    "V600*ſix base pair deletion": [
+        (MT.PROTEIN_MUTATION, "V600*"),
+        (MT.PROTEIN_ALLELE, "V600"),
+        (MT.OTHER_MUTATION, "ſix base pair deletion"),
+    ],
+    "İsoleucine at codon 12": [
+        (MT.PROTEIN_ALLELE, "İsoleucine at codon 12"),
+    ],
+    "\u212aIT and ſerine to alanine": [
+        (MT.PROTEIN_CHANGE, "ſerine to alanine"),
+    ],
+    "٣ base pair deletion": [(MT.OTHER_MUTATION, "٣ base pair deletion")],
+    "a ١٢-bp insertion": [(MT.OTHER_MUTATION, "١٢-bp insertion")],
+}
+_TYPE_SETS = {"all": None, "nl": _NL_TYPES, "region": _REGION_TYPES}
+
+
+def _candidate_tuples(recognizer, text, types):
+    return [
+        (c.start, c.end, c.mtype, c.built, c.components)
+        for c in recognizer._rule_candidates(text, types)
+    ]
+
+
+@pytest.mark.parametrize("types", _TYPE_SETS.values(), ids=list(_TYPE_SETS))
+@pytest.mark.parametrize("text", _EDGE_CASES)
+def test_rule_candidates_edge_cases_match_the_oracle(recognizer, text, types):
+    got = _candidate_tuples(recognizer, text, types)
+    assert got == rule_candidates_oracle(text, types)
+    assert [(c[2], text[c[0]:c[1]]) for c in got] == [
+        (mtype, surface)
+        for mtype, surface in _EDGE_CASES[text]
+        if types is None or mtype in types
+    ]
+
+
+@pytest.mark.parametrize("types", _TYPE_SETS.values(), ids=list(_TYPE_SETS))
+@given(pieces=st.lists(
+    st.tuples(st.sampled_from(_PIECES + list(_EDGE_CASES)),
+              st.sampled_from(["", " ", "; ", "\u00a0"])),
+    max_size=12,
+))
+@settings(max_examples=200, deadline=None)
+def test_rule_candidates_match_the_oracle_in_order(recognizer, types, pieces):
+    # Element by element: arbitration breaks exact ties by input order.
+    text = "".join(piece + sep for piece, sep in pieces)
+    want = rule_candidates_oracle(text, types)
+    assert _candidate_tuples(recognizer, text, types) == want
 
 
 # Crowded candidate lists: short texts so spans nest and overlap, a few
@@ -405,7 +499,8 @@ def _distinct_genes(n):
 
 
 @pytest.mark.parametrize("unit", [
-    "Ala1 ", "A>", "V600E ", "BRAF V600E. ", "p.V600 ", "A1", _distinct_genes,
+    "Ala1 ", "A>", "V600E ", "BRAF V600E. ", "p.V600 ", "A1", "cc ", "p ",
+    "1,2 ", _distinct_genes,
 ], ids=lambda u: u if isinstance(u, str) else "distinct_genes")
 def test_dense_input_scales_linearly(annotator, unit):
     if isinstance(unit, str):

@@ -176,13 +176,18 @@ _PROSE = st.lists(
 @given(_PROSE)
 @settings(max_examples=200)
 def test_shared_byte_table_serves_scan_and_sentence_split(recognizer, text):
-    # The pipeline builds one table per document for both steps, so the
-    # scan must leave it as it found it.
-    table = byte_offsets(text)
-    scanned = recognizer._scan_document(text, "d", table)
+    # The pipeline takes the scan's table for the sentence split, so it
+    # must be the text's own; a text without a mention gets none.
+    mentions, genes, table = recognizer._scan_document(text, "d")
+    if mentions:
+        assert table == byte_offsets(text)
+        assert (mentions, genes) == recognizer.scan_document(text, "d")
+    else:
+        assert (genes, table) == ([], None)
+        assert recognizer.scan_document(text, "d")[0] == []
+        table = byte_offsets(text)
     spans = _sentence_spans(text, table)
     assert spans == split_sentences(text)
-    assert scanned == recognizer.scan_document(text, "d")
     data = text.encode("utf-8")
     pieces = [data[s:e].decode("utf-8") for s, e in spans]
     assert "".join(pieces) == text

@@ -16,19 +16,13 @@ from typing import TextIO
 
 from .corpus import (
     Document,
+    _lines,
     _read_text,
     read_pubtator,
     read_pubtator_text,
     write_pubtator,
 )
-from .errors import (
-    DuplicateKey,
-    FileUnreadable,
-    MalformedLine,
-    MalformedRow,
-    OffsetMismatch,
-    ParseFailure,
-)
+from .errors import FileUnreadable, VarlexError
 from .evaluation import EvalMode, evaluate
 from .hgvs import (
     RegionDescriptor,
@@ -122,7 +116,7 @@ def _write_output(path: str, content: str) -> None:
 
 def _text_documents(content: str) -> list[Document]:
     docs = []
-    for line in content.splitlines():
+    for line in _lines(content):
         if line.strip():
             docs.append(Document(f"doc{len(docs) + 1}", line, ""))
     return docs
@@ -225,14 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FileUnreadable, _OutputUnwritable) as exc:
         print(f"varlex: {exc}", file=sys.stderr)
         return 2
-    except (
-        ParseFailure,
-        MalformedLine,
-        MalformedRow,
-        OffsetMismatch,
-        DuplicateKey,
-        ValueError,
-    ) as exc:
+    except (VarlexError, ValueError) as exc:
         print(f"varlex: {exc}", file=sys.stderr)
         return 1
 

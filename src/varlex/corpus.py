@@ -48,6 +48,17 @@ def _read_text(source: Union[str, TextIO]) -> str:
         raise FileUnreadable(source, str(exc)) from exc
 
 
+def _lines(text: str) -> list[str]:
+    r"""The lines of ``text``, ended by ``\n``, ``\r\n`` or ``\r`` only.
+
+    ``str.splitlines`` also breaks at characters such as U+2028, which a
+    title or abstract may hold.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def _parse_int(line_no: int, value: str, what: str) -> int:
     if not value.isdigit():
         raise MalformedLine(line_no, f"bad {what} {value!r}")
@@ -137,7 +148,7 @@ def read_pubtator(source: Union[str, TextIO]) -> list[Document]:
     content = _read_text(source)
     docs: list[Document] = []
     block: _BlockReader | None = None
-    for line_no, line in enumerate(content.splitlines(), start=1):
+    for line_no, line in enumerate(_lines(content), start=1):
         if not line.strip():
             if block is not None:
                 docs.append(block.finish())

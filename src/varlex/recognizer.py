@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import ParseFailure
 from .hgvs import (
@@ -39,8 +38,9 @@ from .tokenizer import byte_offsets, to_byte_span
 _GUARD_BEFORE = r"(?<![0-9A-Za-z])"
 _GUARD_AFTER = r"(?![0-9A-Za-z])"
 
-# Alphanumeric runs, with digit-grouping commas absorbed; the same shape the
-# tokenizer produces, scanned here without building token objects.
+# Alphanumeric runs.  A run absorbs a comma only when digits flank it on
+# both sides, so "3,18,33,000" is one run while "1,000, and" does not
+# swallow the second comma.
 _ALNUM_RUN = re.compile(r"[0-9A-Za-z]+(?:(?<=[0-9]),(?=[0-9])[0-9A-Za-z]+)*")
 
 
@@ -141,11 +141,6 @@ def _candidate(scanner: tuple, m: re.Match) -> _Candidate | None:
     return _Candidate(m.start(), m.end(), mtype, built, tuple(comps))
 
 
-@lru_cache(maxsize=8)
-def _longest_symbol(lexicon: frozenset[str]) -> int:
-    return max(map(len, lexicon), default=0)
-
-
 def split_gene_fused(
     token_text: str, lexicon: frozenset[str]
 ) -> tuple[str, Descriptor, int] | None:
@@ -154,14 +149,23 @@ def split_gene_fused(
     Longer gene prefixes are tried first; the remainder must parse under a
     mutation grammar for the split to count.  Returns (gene, descriptor,
     split offset) or None.  Matching is case-sensitive on both halves.
+    Each call makes one pass over the lexicon for its longest symbol; a
+    ``Recognizer`` makes that pass once, when it is built.
     """
+    return _split_fused(token_text, lexicon, max(map(len, lexicon), default=0))
+
+
+def _split_fused(
+    run: str, lexicon: frozenset[str], longest: int
+) -> tuple[str, Descriptor, int] | None:
+    """``split_gene_fused`` with the length of the longest symbol given."""
     # No prefix longer than the longest symbol can be a gene, so a long run
     # costs one slice per possible gene length, not one per character.
-    for cut in range(min(len(token_text) - 1, _longest_symbol(lexicon)), 0, -1):
-        prefix = token_text[:cut]
+    for cut in range(min(len(run) - 1, longest), 0, -1):
+        prefix = run[:cut]
         if prefix not in lexicon:
             continue
-        remainder = token_text[cut:]
+        remainder = run[cut:]
         for hint in _FUSED_HINTS:
             try:
                 descriptor = parse_descriptor(remainder, hint)
@@ -180,6 +184,7 @@ class Recognizer:
 
     def __init__(self, lexicon: frozenset[str] | None = None):
         self.lexicon = lexicon
+        self._longest = max(map(len, lexicon or ()), default=0)
         # Each scanner: its rule, the guarded regex, the component groups,
         # whether the rule's triggers are sought in the folded text, and
         # the character class body of the characters a match can begin
@@ -287,7 +292,7 @@ class Recognizer:
             # runs are numeric and fail isalnum.
             if run.isalpha() or run.isdigit() or not run.isalnum():
                 continue
-            split = split_gene_fused(run, self.lexicon)
+            split = _split_fused(run, self.lexicon, self._longest)
             if split is None:
                 continue
             gene, descriptor, cut = split

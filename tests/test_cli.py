@@ -4,10 +4,19 @@ import sys
 
 import pytest
 
-from varlex import Document, read_pubtator, read_pubtator_text, write_pubtator
+from varlex import (
+    Document,
+    FileUnreadable,
+    VarlexError,
+    read_pubtator,
+    read_pubtator_text,
+    write_pubtator,
+)
+from varlex import cli
 from varlex.cli import main
 
 from conftest import data_path
+from test_errors import _subclasses
 
 CORPUS = """10327394|t|Mutations of the BRAF gene in human cancer.
 10327394|a|We detected the V600E substitution in two thirds of melanomas.
@@ -239,6 +248,41 @@ def test_annotate_bad_policy_is_exit_1(corpus_file, capsys):
         ["annotate", str(corpus_file), "--policy", "bogus"], capsys
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "error", [VarlexError, *_subclasses(VarlexError)], ids=lambda e: e.__name__
+)
+def test_every_package_error_is_one_line_and_a_status(error, monkeypatch,
+                                                       capsys):
+    def fail(args):
+        # No __init__: every subclass, present or future, is built alike.
+        raise error.__new__(error, "bad input")
+
+    monkeypatch.setitem(cli._COMMANDS, "parse", fail)
+    code, out, err = run(["parse", "V600E"], capsys)
+    assert code == (2 if issubclass(error, FileUnreadable) else 1)
+    assert (out, err) == ("", "varlex: bad input\n")
+
+
+def test_annotate_reads_a_title_holding_a_line_separator(kb_path, genes_path,
+                                                         tmp_path, capsys):
+    doc = Document("7", "BRAF\u2028V600E\x85 in melanoma", "We saw V600E.")
+    src = tmp_path / "in.txt"
+    src.write_text(write_pubtator([doc]), encoding="utf-8")
+    code, out, err = run(
+        ["annotate", str(src), "--kb", kb_path, "--genes", genes_path], capsys
+    )
+    assert (code, err) == (0, "")
+    [annotated] = read_pubtator_text(out)
+    assert (annotated.title, annotated.abstract) == (doc.title, doc.abstract)
+    assert [a.text for a in annotated.annotations].count("V600E") == 2
+    src.write_text("BRAF\u2028V600E\nKRAS G12D\r\n", encoding="utf-8")
+    code, out, _ = run(["annotate", str(src), "--format", "text"], capsys)
+    assert code == 0
+    assert [d.title for d in read_pubtator_text(out)] == [
+        "BRAF\u2028V600E", "KRAS G12D",
+    ]
 
 
 def test_evaluate_prints_counts_then_metrics(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varlex import (
     Annotation,
@@ -192,3 +194,43 @@ def test_write_preserves_annotation_order():
     lines = write_pubtator([doc]).splitlines()
     assert lines[2].startswith("3\t10\t14")
     assert lines[3].startswith("3\t0\t5")
+
+
+# Title and abstract text: anything but the line ends \n, \r\n and \r.
+_LINE_TEXT = st.text(st.characters(codec="utf-8", exclude_characters="\n\r"))
+
+
+@st.composite
+def _documents(draw):
+    docs = []
+    for doc_no in range(1, draw(st.integers(0, 3)) + 1):
+        title, abstract = draw(_LINE_TEXT), draw(_LINE_TEXT)
+        full = f"{title} {abstract}"
+        bounds = st.integers(0, len(full))
+        annotations = []
+        for i, j in draw(st.lists(st.tuples(bounds, bounds), max_size=3)):
+            i, j = sorted((i, j))
+            piece = full[i:j]
+            if not piece or "\t" in piece:
+                continue
+            start = len(full[:i].encode("utf-8"))
+            end = start + len(piece.encode("utf-8"))
+            norm_id = draw(st.sampled_from(["", "rs113488022"]))
+            annotations.append(Annotation(start, end, piece, "Gene", norm_id))
+        docs.append(Document(str(doc_no), title, abstract, tuple(annotations)))
+    return docs
+
+
+@given(_documents())
+@settings(max_examples=300)
+def test_written_documents_read_back_equal(docs):
+    # Characters such as U+2028, \x85 or \x0c inside a title are text,
+    # not line ends.
+    assert read_pubtator_text(write_pubtator(docs)) == docs
+
+
+def test_universal_line_ends_are_read_alike():
+    for newline in ("\r\n", "\r"):
+        assert read_pubtator_text(EXAMPLE.replace("\n", newline)) == (
+            read_pubtator_text(EXAMPLE)
+        )

@@ -1,8 +1,10 @@
+import gc
 import random
 import re
 import statistics
 import sys
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,6 @@ from varlex.recognizer import (
     _Candidate,
     _expanded_starts,
 )
-from varlex.tokenizer import byte_slice
 
 from oracles import arbitrate, rule_candidates_oracle, scan_every_rule
 
@@ -183,6 +184,68 @@ def test_no_lexicon_means_no_genes_and_no_splits():
     assert [m.text for m in bare.recognize("BRAF V600E text")] == ["V600E"]
 
 
+def test_digit_grouping_commas_stay_inside_numbers():
+    # A run absorbs a comma only between two digits: "3,18,33,000" is one
+    # run, so no symbol inside it is a gene, while the comma after "1,000"
+    # has no digit on its right and leaves "18" a run of its own.
+    recognizer = Recognizer(frozenset({"18", "33"}))
+    assert recognizer.find_gene_mentions("3,18,33,000") == []
+    assert recognizer.find_gene_mentions("1,000, 18") == [GeneMention("18", 7, 9)]
+
+
+class _CountingLexicon(frozenset):
+    """A lexicon that counts the comparisons made against it."""
+
+    eq_calls = 0
+    __hash__ = frozenset.__hash__
+
+    def __eq__(self, other):
+        _CountingLexicon.eq_calls += 1
+        return frozenset.__eq__(self, other)
+
+
+_FUSED_TEXT = "BRAFV600E and X12Y, KRASG12D or Q61K9 " * 50
+
+
+def test_equal_lexicons_are_never_compared():
+    symbols = ["BRAF", "KRAS", "NRAS"]
+    first, second = _CountingLexicon(symbols), _CountingLexicon(symbols)
+    assert first == second and first is not second
+    _CountingLexicon.eq_calls = 0
+    for lexicon in (first, second, first):
+        genes = Recognizer(lexicon).find_gene_mentions(_FUSED_TEXT)
+        assert [g.symbol for g in genes[:2]] == ["BRAF", "KRAS"]
+    assert _CountingLexicon.eq_calls == 0
+
+
+class _Lexicon(frozenset):
+    """A lexicon that a weak reference can point to."""
+
+
+def test_a_scan_keeps_no_lexicon_alive():
+    lexicon = _Lexicon({"BRAF", "KRAS"})
+    recognizer = Recognizer(lexicon)
+    assert recognizer.recognize(_FUSED_TEXT)
+    ref = weakref.ref(lexicon)
+    del recognizer, lexicon
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_second_equal_lexicon_splits_fast():
+    # A process may load its gene file twice; the second, equal lexicon
+    # must split fused runs as fast as the first.
+    first = frozenset(_gene_symbol(i) for i in range(20_000))
+    second = frozenset(list(first))
+    assert first == second and first is not second
+    text = " ".join(f"X{i}Y" for i in range(20_000))
+    assert Recognizer(first).find_gene_mentions(text) == []
+    recognizer = Recognizer(second)
+    started = time.perf_counter()
+    assert recognizer.find_gene_mentions(text) == []
+    assert time.perf_counter() - started < 1.0
+
+
 def test_natural_language_subset(recognizer):
     text = "a nine-nucleotide deletion starting at position 1952 appeared"
     mentions = recognizer.recognize_natural_language(text)
@@ -248,7 +311,7 @@ def test_offsets_are_bytes_with_multibyte_text(recognizer):
     text = "β-globin碱基 c.20A>T variant"
     mentions = recognizer.recognize(text)
     m = find_one(mentions, "c.20A>T")
-    assert byte_slice(text, m.start, m.end) == "c.20A>T"
+    assert text.encode()[m.start: m.end].decode() == "c.20A>T"
     assert m.start == text.encode("utf-8").index(b"c.20A>T")
 
 
@@ -284,7 +347,7 @@ def test_randomized_output_invariants(recognizer):
         for a, b in zip(mentions, mentions[1:]):
             assert a.end <= b.start
         for m in mentions:
-            assert byte_slice(text, m.start, m.end) == m.text
+            assert text.encode()[m.start: m.end].decode() == m.text
             assert (m.descriptor is None) != (m.identifier is None)
 
 

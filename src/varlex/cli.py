@@ -36,12 +36,6 @@ from .kb import KnowledgeBase, load_genes, load_kb
 from .normalizer import DEFAULT_POLICY, NormalizationPolicy
 from .pipeline import Annotator
 
-_EVAL_MODES = {
-    "span": EvalMode.MENTION_SPAN,
-    "type": EvalMode.MENTION_TYPE,
-    "id": EvalMode.NORM_ID,
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -93,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("gold", help="gold PubTator file")
     ev.add_argument("predicted", help="predicted PubTator file")
     ev.add_argument(
-        "--mode", choices=sorted(_EVAL_MODES), default="span",
+        "--mode", choices=sorted(mode.value for mode in EvalMode), default="span",
         help="span, type, or id matching (default span)",
     )
     return parser
@@ -184,7 +178,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     gold = read_pubtator(args.gold)
     predicted = read_pubtator(args.predicted)
-    report = evaluate(gold, predicted, _EVAL_MODES[args.mode])
+    report = evaluate(gold, predicted, EvalMode(args.mode))
     sys.stdout.write(f"TP={report.tp} FP={report.fp} FN={report.fn}\n")
     sys.stdout.write(
         f"P={report.precision:.4f} R={report.recall:.4f} F={report.f1:.4f}\n"

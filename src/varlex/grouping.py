@@ -21,8 +21,20 @@ from dataclasses import dataclass, replace
 
 from .hgvs import EditKind, VariantDescriptor
 from .kb import KnowledgeBase
-from .normalizer import IdKind, NormalizedId, candidate_records
+from .normalizer import IdKind, NormalizedId, _mention_gene, candidate_records
 from .recognizer import Mention
+
+
+def _prefix_key(d) -> tuple | None:
+    """A substitution's (level, position, wild type) if it names all three."""
+    if (
+        isinstance(d, VariantDescriptor)
+        and d.edit_kind is EditKind.SUBSTITUTION
+        and d.position is not None
+        and d.ref_allele is not None
+    ):
+        return (d.level, d.position, d.ref_allele)
+    return None
 
 
 def is_prefix_compatible(a: VariantDescriptor, b: VariantDescriptor) -> bool:
@@ -31,18 +43,8 @@ def is_prefix_compatible(a: VariantDescriptor, b: VariantDescriptor) -> bool:
     Both must be substitutions at the same level and position with the same
     wild-type; exactly one of them names a mutant.
     """
-    if not isinstance(a, VariantDescriptor) or not isinstance(b, VariantDescriptor):
-        return False
-    if (
-        a.edit_kind is not EditKind.SUBSTITUTION
-        or b.edit_kind is not EditKind.SUBSTITUTION
-    ):
-        return False
-    if a.level is not b.level:
-        return False
-    if a.position is None or a.position != b.position:
-        return False
-    if a.ref_allele is None or a.ref_allele != b.ref_allele:
+    key = _prefix_key(a)
+    if key is None or key != _prefix_key(b):
         return False
     return (a.alt_allele is None) != (b.alt_allele is None)
 
@@ -72,10 +74,6 @@ class _UnionFind:
         ri, rj = self.find(i), self.find(j)
         if ri != rj:
             self.parent[max(ri, rj)] = min(ri, rj)
-
-
-def _effective_gene(m: Mention) -> str | None:
-    return m.gene_context or m.gene_hint
 
 
 def group_mentions(
@@ -111,14 +109,10 @@ def group_mentions(
             closure.union(i, first.setdefault(key, i))
             if is_decided[i]:
                 decided.union(i, first_decided.setdefault(key, i))
-        if (
-            isinstance(d, VariantDescriptor)
-            and d.edit_kind is EditKind.SUBSTITUTION
-            and d.position is not None
-            and d.ref_allele is not None
-        ):
-            classes = buckets.setdefault((d.level, d.position, d.ref_allele), {})
-            key = (d.alt_allele is not None, _effective_gene(m))
+        prefix = _prefix_key(d)
+        if prefix is not None:
+            classes = buckets.setdefault(prefix, {})
+            key = (d.alt_allele is not None, _mention_gene(m))
             classes.setdefault(key, []).append(i)
     for classes in buckets.values():
         _link_prefix_classes(classes, closure)
@@ -172,7 +166,7 @@ def _link_prefix_classes(
 def _link_keys(m: Mention, nid: NormalizedId, kb: KnowledgeBase) -> list:
     """The KB records ``m`` could mean, plus its rendered id if it has one."""
     if isinstance(m.descriptor, VariantDescriptor):
-        keys = list(candidate_records(kb, _effective_gene(m), m.descriptor))
+        keys = list(candidate_records(kb, _mention_gene(m), m.descriptor))
     elif m.identifier and m.identifier.startswith("rs"):
         keys = list(kb.lookup_rsid(m.identifier))
     else:

@@ -9,12 +9,9 @@ same patterns across running text.
 
 A rule states what its match means only through the names of its pattern's
 groups, drawn from one vocabulary (:data:`GROUP_NAMES`, described on
-:class:`GrammarRule`): ``lv`` level, ``pos``/``pos2`` positions,
-``wt``/``wt3``/``wtn`` and ``mt``/``mt3``/``mtn`` alleles, ``ed`` edit word,
-``seq`` edited sequence, ``size`` length, ``chrom``/``arm``/``band``/``c1``/
-``c2`` regions and ``digits``/``acc`` identifiers.  The same groups feed both
-the descriptor built from a match and the component spans (position,
-wild-type, mutant; :data:`GROUP_ROLES`) the recognizer reports.
+:class:`GrammarRule`).  The same groups feed both the descriptor built from
+a match and the component spans (position, wild-type, mutant;
+:data:`GROUP_ROLES`) the recognizer reports.
 """
 
 from __future__ import annotations
@@ -130,7 +127,10 @@ NUC_NAME_TO_1 = {
     "thymine": "T", "uracil": "U",
 }
 
-_AA_ONE = frozenset("ACDEFGHIKLMNPQRSTVWY")
+# The twenty standard residues and the nucleotides in one-letter code.
+_AA20 = "ACDEFGHIKLMNPQRSTVWY"
+_NUC_LETTERS = "ACGTU"
+_AA_ONE = frozenset(_AA20)
 
 NUMBER_WORDS = {
     "one": 1, "two": 2, "three": 3, "four": 4, "five": 5,
@@ -153,6 +153,10 @@ def fold(text: str) -> str:
     if low.isascii():
         return low
     return low.replace("ſ", "s").replace("ı", "i").replace("i\u0307", "i")
+
+
+def _initials(words: Iterable[str]) -> str:
+    return "".join(sorted({word[0] for word in words}))
 
 
 def normalize_amino_acid(name: str) -> str:
@@ -178,8 +182,6 @@ def normalize_amino_acid(name: str) -> str:
     low = fold(s)
     if low in AA_NAME_TO_1:
         return AA_NAME_TO_1[low]
-    if low in ("ter", "stop"):
-        return "*"
     raise UnknownResidue(name)
 
 
@@ -205,7 +207,7 @@ def _normalize_allele_name(side: str) -> str:
     low = fold(s)
     if low in NUC_NAME_TO_1:
         return NUC_NAME_TO_1[low]
-    if len(s) == 1 and s.upper() in "ACGTU":
+    if len(s) == 1 and s.upper() in _NUC_LETTERS:
         return s.upper()
     return normalize_amino_acid(s)
 
@@ -214,25 +216,8 @@ def _normalize_allele_name(side: str) -> str:
 # Descriptors
 # ---------------------------------------------------------------------------
 
-_DNA_ALPHABET = frozenset("ACGTU")
+_DNA_ALPHABET = frozenset(_NUC_LETTERS)
 _PROTEIN_ALPHABET = _AA_ONE | {"U", "*"}
-
-_LEVEL_PREFIX = {
-    SequenceLevel.DNA_CODING: "c.",
-    SequenceLevel.DNA_GENOMIC: "g.",
-    SequenceLevel.PROTEIN: "p.",
-    SequenceLevel.RNA: "r.",
-    SequenceLevel.MITO: "m.",
-    SequenceLevel.UNSPECIFIED: "",
-}
-
-_LEVEL_BY_LETTER = {
-    "c": SequenceLevel.DNA_CODING,
-    "g": SequenceLevel.DNA_GENOMIC,
-    "p": SequenceLevel.PROTEIN,
-    "r": SequenceLevel.RNA,
-    "m": SequenceLevel.MITO,
-}
 
 
 @dataclass(frozen=True)
@@ -379,7 +364,8 @@ def canonical_string(d: VariantDescriptor) -> str:
     Incomplete variants keep their partial form ("p.P799"); protein
     substitutions render in one-letter code without a separator.
     """
-    prefix = _LEVEL_PREFIX[d.level]
+    letter = d.level.value
+    prefix = f"{letter}." if letter else ""
     protein = d.level is SequenceLevel.PROTEIN
     if d.edit_kind is EditKind.SUBSTITUTION:
         if d.position is None:
@@ -558,21 +544,24 @@ _PROTEIN_TYPES = frozenset({
 })
 
 _POS = r"[1-9]\d*"
-_NUC = r"[ACGTU]"
-_AA1 = r"[ACDEFGHIKLMNPQRSTVWY]"
-_AA1_MUT = r"[ACDEFGHIKLMNPQRSTVWYUX*]"
-_AA3 = (
-    r"(?:Ala|Arg|Asn|Asp|Cys|Gln|Glu|Gly|His|Ile|Leu|Lys|Met|Phe|Pro|Ser"
-    r"|Thr|Trp|Tyr|Val|Sec)"
+_NUC = "[%s]" % _NUC_LETTERS
+# The sequence levels a DNA rule's prefix ("c.") may name.
+_DNA_LEVELS = "cgmr"
+_LV = r"(?P<lv>[%s])\." % _DNA_LEVELS
+# What follows the prefix of a deletion, insertion or duplication.
+_LEVEL_EDIT = r"(?P<pos>%s)(?:_(?P<pos2>%s))?(?P<ed>del|ins|dup)(?P<seq>%s*)" % (
+    _POS, _POS, _NUC
 )
-_AA3_MUT = (
-    r"(?:Ala|Arg|Asn|Asp|Cys|Gln|Glu|Gly|His|Ile|Leu|Lys|Met|Phe|Pro|Ser"
-    r"|Thr|Trp|Tyr|Val|Sec|Ter|X|\*)"
-)
+_AA1 = "[%s]" % _AA20
+_AA1_MUT = r"[%sUX*]" % _AA20
+# Three-letter residues a wild type may name: all but the stop codon.
+_AA3_WT = tuple(code for code in AA3_TO_1 if code != "Ter")
+_AA3 = "(?:%s)" % "|".join(_AA3_WT)
+_AA3_MUT = r"(?:%s|X|\*)" % "|".join(AA3_TO_1)
 _AA_NAME = "(?:%s)" % "|".join(
     sorted(AA_NAME_TO_1, key=len, reverse=True)
 )
-_NUC_NAME = r"(?:adenine|guanine|cytosine|thymine|uracil)"
+_NUC_NAME = "(?:%s)" % "|".join(NUC_NAME_TO_1)
 _NUM_WORD = "(?:%s)" % "|".join(
     sorted(NUMBER_WORDS, key=len, reverse=True)
 )
@@ -602,14 +591,11 @@ def _coord(value: str) -> int:
     return int(value.replace(",", ""))
 
 
-_EDIT_BY_WORD = {
-    "del": EditKind.DELETION,
-    "ins": EditKind.INSERTION,
-    "dup": EditKind.DUPLICATION,
-    "fs": EditKind.FRAMESHIFT,
-    "deletion": EditKind.DELETION,
-    "insertion": EditKind.INSERTION,
-    "duplication": EditKind.DUPLICATION,
+# Edit words as rules capture them: "fs", "del", "deletion" and so on.
+_EDIT_BY_WORD = {"fs": EditKind.FRAMESHIFT} | {
+    word: kind
+    for kind, short in _EDIT_WORD.items()
+    for word in (short, kind.value.lower())
 }
 
 
@@ -618,7 +604,7 @@ def _build_variant(
 ) -> VariantDescriptor:
     letter = gd.get("lv")
     if letter:
-        level = _LEVEL_BY_LETTER[letter]
+        level = SequenceLevel(letter)
     else:
         level = SequenceLevel.PROTEIN if protein else SequenceLevel.UNSPECIFIED
     word = gd.get("ed")
@@ -669,11 +655,6 @@ def _build_region(m: re.Match, gd: dict[str, str | None]) -> RegionDescriptor:
 
 # Trigger literals shared by several rules; see GrammarRule.
 _ARROW_TRIGGERS = (">", "→")
-_AA3_TRIGGERS = (
-    "Ala", "Arg", "Asn", "Asp", "Cys", "Gln", "Glu", "Gly", "His", "Ile",
-    "Leu", "Lys", "Met", "Phe", "Pro", "Ser", "Thr", "Trp", "Tyr", "Val",
-    "Sec",
-)
 # Every amino-acid name holds one of these ("isoleucine" holds "leucine").
 _AA_NAME_TRIGGERS = (
     "alanine", "arginine", "asparagine", "aspart", "cysteine", "glutam",
@@ -683,10 +664,10 @@ _AA_NAME_TRIGGERS = (
 
 # Start characters shared by several rules; see GrammarRule.  A position
 # may follow a sequence-level prefix ("c."), a residue a "p." prefix.
-_LEVEL_POS_STARTS = "cgmr123456789"
-_AA1_STARTS = "ACDEFGHIKLMNPQRSTVWY"
-_AA3_STARTS = "ACGHILMPSTV"
-_AA_NAME_STARTS = "acghilmpstv"
+_LEVEL_POS_STARTS = _DNA_LEVELS + "123456789"
+_AA1_STARTS = _AA20
+_AA3_STARTS = _initials(_AA3_WT)
+_AA_NAME_STARTS = _initials(AA_NAME_TO_1)
 
 GRAMMAR_RULES: tuple[GrammarRule, ...] = (
     # --- identifiers -------------------------------------------------------
@@ -708,58 +689,54 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
     GrammarRule(
         "dna_arrow",
         MentionType.DNA_MUTATION,
-        r"(?:(?P<lv>[cgmr])\.)?(?P<pos>%s)\s?(?P<wt>%s?)%s(?P<mt>%s)"
-        % (_POS, _NUC, _ARROW_SEP, _NUC),
+        r"(?:%s)?(?P<pos>%s)\s?(?P<wt>%s?)%s(?P<mt>%s)"
+        % (_LV, _POS, _NUC, _ARROW_SEP, _NUC),
         triggers=_ARROW_TRIGGERS,
         starts=_LEVEL_POS_STARTS,
     ),
     GrammarRule(
         "dna_slash",
         MentionType.DNA_MUTATION,
-        r"(?:(?P<lv>[cgmr])\.)?(?P<pos>%s)(?P<wt>%s)/(?P<mt>%s)"
-        % (_POS, _NUC, _NUC),
+        r"(?:%s)?(?P<pos>%s)(?P<wt>%s)/(?P<mt>%s)"
+        % (_LV, _POS, _NUC, _NUC),
         triggers=("/",),
         starts=_LEVEL_POS_STARTS,
     ),
     GrammarRule(
         "dna_level_edit",
         MentionType.DNA_MUTATION,
-        r"(?:(?P<lv>[cgmr])\.)?(?P<pos>%s)(?:_(?P<pos2>%s))?(?P<ed>del|ins|dup)(?P<seq>%s*)"
-        % (_POS, _POS, _NUC),
-        scan_pattern=(
-            r"(?P<lv>[cgmr])\.(?P<pos>%s)(?:_(?P<pos2>%s))?(?P<ed>del|ins|dup)(?P<seq>%s*)"
-            % (_POS, _POS, _NUC)
-        ),
-        triggers=("c.", "g.", "m.", "r."),
-        starts="cgmr",
+        "(?:%s)?%s" % (_LV, _LEVEL_EDIT),
+        scan_pattern=_LV + _LEVEL_EDIT,
+        triggers=tuple(level + "." for level in _DNA_LEVELS),
+        starts=_DNA_LEVELS,
     ),
     GrammarRule(
         "dna_allele",
         MentionType.DNA_ALLELE,
-        r"(?:(?P<lv>[cgmr])\.)?(?P<pos>%s)(?P<wt>%s)" % (_POS, _NUC),
+        r"(?:%s)?(?P<pos>%s)(?P<wt>%s)" % (_LV, _POS, _NUC),
         starts=_LEVEL_POS_STARTS,
     ),
     GrammarRule(
         "dna_change_arrow",
         MentionType.DNA_CHANGE,
-        r"(?:(?P<lv>[cgmr])\.)?(?P<wt>%s)%s(?P<mt>%s)" % (_NUC, _ARROW_SEP, _NUC),
+        r"(?:%s)?(?P<wt>%s)%s(?P<mt>%s)" % (_LV, _NUC, _ARROW_SEP, _NUC),
         triggers=_ARROW_TRIGGERS,
-        starts="cgmrACGTU",
+        starts=_DNA_LEVELS + _NUC_LETTERS,
     ),
     GrammarRule(
         "dna_change_slash",
         MentionType.DNA_CHANGE,
         r"(?P<wt>%s)/(?P<mt>%s)" % (_NUC, _NUC),
         triggers=("/",),
-        starts="ACGTU",
+        starts=_NUC_LETTERS,
     ),
     GrammarRule(
         "dna_change_words",
         MentionType.DNA_CHANGE,
         r"(?P<wtn>%s)\s+to\s+(?P<mtn>%s)" % (_NUC_NAME, _NUC_NAME),
         flags=re.IGNORECASE,
-        triggers=("adenine", "guanine", "cytosine", "thymine", "uracil"),
-        starts="acgtu",
+        triggers=tuple(NUC_NAME_TO_1),
+        starts=_initials(NUC_NAME_TO_1),
     ),
     # --- protein -----------------------------------------------------------
     GrammarRule(
@@ -772,7 +749,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         "protein_three_letter",
         MentionType.PROTEIN_MUTATION,
         r"(?:p\.)?(?P<wt3>%s)(?P<pos>%s)(?P<mt3>%s)" % (_AA3, _POS, _AA3_MUT),
-        triggers=_AA3_TRIGGERS,
+        triggers=_AA3_WT,
         starts="p" + _AA3_STARTS,
     ),
     GrammarRule(
@@ -804,7 +781,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         "protein_allele_three_letter",
         MentionType.PROTEIN_ALLELE,
         r"(?:p\.)?(?P<wt3>%s)(?P<pos>%s)" % (_AA3, _POS),
-        triggers=_AA3_TRIGGERS,
+        triggers=_AA3_WT,
         starts="p" + _AA3_STARTS,
     ),
     GrammarRule(
@@ -844,7 +821,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         "protein_change_three_letter",
         MentionType.PROTEIN_CHANGE,
         r"(?:p\.)?(?P<wt3>%s)\s+to\s+(?P<mt3>%s)" % (_AA3, _AA3),
-        triggers=_AA3_TRIGGERS,
+        triggers=_AA3_WT,
         starts="p" + _AA3_STARTS,
     ),
     GrammarRule(
@@ -863,7 +840,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         % (_NUM_WORD, _UNIT, _POS),
         flags=re.IGNORECASE,
         triggers=("deletion", "insertion", "duplication"),
-        starts="0123456789efnost",
+        starts="0123456789" + _initials(NUMBER_WORDS),
     ),
     GrammarRule(
         "edit_size",

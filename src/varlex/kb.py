@@ -1,4 +1,4 @@
-"""Tab-separated variant knowledge base and gene lexicon loaders.
+r"""Tab-separated variant knowledge base and gene lexicon loaders.
 
 The KB is a strict seven-column TSV, one variant per row.  Four KB-wide
 indexes (DNA HGVS, protein HGVS, protein position prefix, rs number) map
@@ -6,6 +6,9 @@ exact canonical renderings to records; incomplete protein mentions
 ("p.P799") hit the prefix index derived from the stored protein forms, and
 a gene, when given, filters the hits.  All query results come back in a
 deterministic order so downstream tie-breaks never depend on file order.
+
+The KB and the gene lexicon end a line only at ``\n``, ``\r\n`` or ``\r``,
+as PubTator files do, so a form feed or U+2028 stays inside its row.
 """
 
 from __future__ import annotations
@@ -14,15 +17,14 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, TextIO, Union
 
-from .corpus import _read_text
+from .corpus import _lines, _read_text
 from .errors import DuplicateKey, MalformedRow
-from .hgvs import SequenceLevel, VariantDescriptor, canonical_string
+from .hgvs import _DNA_ALPHABET, SequenceLevel, VariantDescriptor, canonical_string
 
 KB_HEADER = ("rsid", "ca_id", "gene", "dna_hgvs", "protein_hgvs", "ref", "alt")
 
 _RSID_RX = re.compile(r"rs[1-9]\d*")
 _CAID_RX = re.compile(r"CA\d+")
-_ALLELE_RX = re.compile(r"[ACGTU]+")
 _PROT_PREFIX_RX = re.compile(r"p\.([A-Z])(\d+)")
 
 
@@ -68,7 +70,7 @@ def _check_row(line_no: int, cols: list[str]) -> VariantRecord:
     if not dna and not prot:
         raise MalformedRow(line_no, "dna_hgvs", "row carries no HGVS form")
     for column, allele in (("ref", ref), ("alt", alt)):
-        if allele and _ALLELE_RX.fullmatch(allele) is None:
+        if not set(allele) <= _DNA_ALPHABET:
             raise MalformedRow(line_no, column, f"bad allele {allele!r}")
     return VariantRecord(rsid, ca_id, gene, dna, prot, ref, alt)
 
@@ -135,7 +137,7 @@ def load_kb(source: Union[str, TextIO]) -> KnowledgeBase:
     Raises FileUnreadable, MalformedRow (with line and column), or
     DuplicateKey when one (gene, HGVS) key claims two different rs numbers.
     """
-    lines = _read_text(source).splitlines()
+    lines = _lines(_read_text(source))
     if not lines or [c.strip() for c in lines[0].split("\t")] != list(KB_HEADER):
         raise MalformedRow(1, "header", "missing or wrong header line")
     records: list[VariantRecord] = []
@@ -159,7 +161,7 @@ def load_kb(source: Union[str, TextIO]) -> KnowledgeBase:
 
 def load_genes(source: Union[str, TextIO]) -> frozenset[str]:
     """Read a gene lexicon: one symbol per line, blanks skipped."""
-    lines = _read_text(source).splitlines()
+    lines = _lines(_read_text(source))
     symbols: set[str] = set()
     for line_no, line in enumerate(lines, start=1):
         symbol = line.strip()

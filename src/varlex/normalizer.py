@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 from .hgvs import MentionType, VariantDescriptor, canonical_string
-from .kb import KnowledgeBase, VariantRecord
+from .kb import _CAID_RX, _RSID_RX, KnowledgeBase, VariantRecord
 from .recognizer import GeneMention, Mention
 
 
@@ -58,9 +58,7 @@ class NormalizedId:
 
 UNNORMALIZED = NormalizedId(IdKind.UNNORMALIZED)
 
-_RS_ALLELE_RX = re.compile(r"(rs[1-9]\d*)\(([A-Z*]+)>([A-Z*]+)\)")
-_RSID_RX = re.compile(r"rs[1-9]\d*")
-_CAID_RX = re.compile(r"CA\d+")
+_RS_ALLELE_RX = re.compile(r"(%s)\(([A-Z*]+)>([A-Z*]+)\)" % _RSID_RX.pattern)
 
 
 def parse_rendered(text: str) -> NormalizedId:
@@ -136,25 +134,30 @@ def candidate_records(
     return records
 
 
+def _mention_gene(mention: Mention) -> str | None:
+    """The gene a mention is read against: its context, else its fused gene."""
+    return mention.gene_context or mention.gene_hint
+
+
 def normalize(
     mention: Mention,
     kb: KnowledgeBase,
-    gene_context: str | None = None,
+    *,
     policy: NormalizationPolicy = DEFAULT_POLICY,
 ) -> NormalizedId:
     """Resolve one mention to the best identifier the policy allows.
 
     dbSNP mentions carry their own rs number.  Descriptor mentions are
-    looked up KB-wide; a gene context narrows multiple hits, and whatever
-    ambiguity survives is flagged on the result.  Incomplete mentions
-    (no mutant allele) never receive allele-specific identifiers.
+    looked up KB-wide; the mention's own gene, which grouping reads too,
+    narrows multiple hits, and any ambiguity left is flagged on the result.
+    Incomplete mentions (no mutant allele) get no allele-specific ids.
     """
     if mention.mtype is MentionType.SNP and mention.identifier:
         return NormalizedId(IdKind.RSID, rsid=mention.identifier)
     descriptor = mention.descriptor
     if not isinstance(descriptor, VariantDescriptor):
         return UNNORMALIZED
-    gene = gene_context or mention.gene_context or mention.gene_hint
+    gene = _mention_gene(mention)
     records = candidate_records(kb, gene, descriptor)
     ambiguous = len({_identity(r) for r in records}) > 1
     best = records[0] if records else None

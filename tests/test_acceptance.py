@@ -105,16 +105,17 @@ def test_criterion_2_composite_mentions(recognizer, kb, capsys):
 def test_criterion_3_normalization_fallback(recognizer, kb, capsys):
     def check():
         m = recognizer.recognize("the c.1799T>A variant")[0]
+        m.gene_context = "BRAF"
         for policy, expected in [
             ("caid", "CA123643"),
             ("rs_allele", "rs113488022(T>A)"),
             ("rsid", "rs113488022"),
             ("gene", "BRAF: c.1799T>A"),
         ]:
-            got = normalize(m, kb, gene_context="BRAF",
-                            policy=NormalizationPolicy.from_string(policy))
+            got = normalize(m, kb, policy=NormalizationPolicy.from_string(policy))
             assert got.render() == expected, (policy, got.render())
-        bottom = normalize(m, KnowledgeBase(()), gene_context=None)
+        m.gene_context = None
+        bottom = normalize(m, KnowledgeBase(()))
         assert bottom.render() == "-"
 
     _verdict(capsys, 3, "identifier fallback chain yields the five exact "
@@ -129,7 +130,9 @@ def test_criterion_4_within_document_grouping(kb, capsys):
         text = "TRPV4 P799L was typed; a distinct proband carried P799."
         mentions, genes = rec.scan_document(text)
         assert [m.text for m in mentions] == ["P799L", "P799"]
-        ids = [normalize(m, kb, gene_context="TRPV4") for m in mentions]
+        for m in mentions:
+            m.gene_context = "TRPV4"
+        ids = [normalize(m, kb) for m in mentions]
         groups = group_mentions(mentions, ids, kb)
         assert len(groups) == 1
         assert groups[0].members == (0, 1)

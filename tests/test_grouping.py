@@ -48,7 +48,8 @@ def analyse(text, kb, lexicon=None):
         gene = m.gene_hint
         if gene is None and genes:
             gene = genes[0].symbol
-        ids.append(normalize(m, kb, gene_context=gene))
+        m.gene_context = gene
+        ids.append(normalize(m, kb))
     return mentions, ids, group_mentions(mentions, ids, kb)
 
 
@@ -144,10 +145,9 @@ def test_group_id_prefers_most_specific_tier():
     rec = Recognizer(frozenset({"G1"}))
     text = "G1 c.5A>T and c.5A>T again."
     mentions = rec.recognize(text)
-    ids = [
-        normalize(mentions[0], kb, gene_context="G1"),
-        normalize(mentions[1], kb, gene_context=None),
-    ]
+    mentions[0].gene_context = "G1"
+    mentions[1].gene_context = None
+    ids = [normalize(m, kb) for m in mentions]
     assert {i.kind for i in ids} == {IdKind.RS_ALLELE}
     groups = group_mentions(mentions, ids, kb)
     assert groups[0].group_id.render() == "rs5(A>T)"
@@ -160,7 +160,9 @@ def test_tier_tie_breaks_on_lowest_render():
     # group by repeating the same surface, then check determinism of the id.
     text = "G1 c.5A>T and c.5A>T."
     mentions = rec.recognize(text)
-    ids = [normalize(m, kb, gene_context="G1") for m in mentions]
+    for m in mentions:
+        m.gene_context = "G1"
+    ids = [normalize(m, kb) for m in mentions]
     groups = group_mentions(mentions, ids, kb)
     assert len(groups) == 1
     assert groups[0].group_id.render() == "G1: c.5A>T"

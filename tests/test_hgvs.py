@@ -24,7 +24,7 @@ from varlex import (
     parse_identifier,
     region_string,
 )
-from varlex.hgvs import GRAMMAR_RULES, GROUP_NAMES, fold
+from varlex.hgvs import AA3_TO_1, AA_NAME_TO_1, GRAMMAR_RULES, GROUP_NAMES, fold
 
 from oracles import random_descriptor
 
@@ -33,13 +33,27 @@ MT = MentionType
 
 # -- residue and arrow normalization -----------------------------------------
 
-@pytest.mark.parametrize("name,code", [
+_RESIDUE_SPELLINGS = [
     ("V", "V"), ("v", "V"), ("Val", "V"), ("VAL", "V"), ("val", "V"),
     ("valine", "V"), ("Glutamine", "Q"), ("glutamic acid", "E"),
     ("glutamate", "E"), ("aspartate", "D"), ("aspartic acid", "D"),
     ("Ter", "*"), ("stop", "*"), ("X", "*"), ("x", "*"), ("*", "*"),
-    ("Sec", "U"), ("selenocysteine", "U"), ("U", "U"),
-])
+    ("Sec", "U"), ("selenocysteine", "U"), ("U", "U"), ("ſtop", "*"),
+]
+# Every table key in three cases.  Spellings listed above are left out, so
+# that no case is run twice and no earlier case changes its id.
+_RESIDUE_SPELLINGS += [
+    case for case in dict.fromkeys(
+        (spell(name), code)
+        for table in (AA3_TO_1, AA_NAME_TO_1)
+        for name, code in table.items()
+        for spell in (str.lower, str.upper, str.title)
+    )
+    if case not in _RESIDUE_SPELLINGS
+]
+
+
+@pytest.mark.parametrize("name,code", _RESIDUE_SPELLINGS)
 def test_residue_names_collapse_to_one_letter(name, code):
     assert normalize_amino_acid(name) == code
 

@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -186,6 +187,26 @@ def test_load_genes_rejects_embedded_whitespace(tmp_path):
     with pytest.raises(MalformedRow) as err:
         load_genes(str(path))
     assert err.value.line_no == 2
+
+
+def test_kb_row_holding_a_form_feed_is_one_row():
+    # Only \n, \r\n and \r end a line, as in PubTator files.
+    row = "rs1\tCA1\tG1\tc.5A>T\tp.M2L\x0c\tA\tT"
+    kb = load_kb(io.StringIO(HEADER + "\n" + row + "\n"))
+    assert [r.protein_hgvs for r in kb.records] == ["p.M2L"]
+
+
+def test_kb_line_numbers_count_only_line_ends():
+    rows = ["rs1\tCA1\tG1\tc.5A>T\tp.M2L\tA\tT\x0c", "rs2\tCA2\tG1"]
+    with pytest.raises(MalformedRow) as info:
+        load_kb(io.StringIO("\n".join([HEADER] + rows) + "\n"))
+    assert (info.value.line_no, info.value.column) == (3, "columns")
+
+
+def test_gene_line_holding_a_line_separator_is_one_symbol():
+    with pytest.raises(MalformedRow, match="bad gene symbol") as info:
+        load_genes(io.StringIO("BRAF\u2028KRAS\n"))
+    assert info.value.line_no == 1
 
 
 def test_load_genes_missing_file(tmp_path):

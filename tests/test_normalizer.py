@@ -78,10 +78,21 @@ def test_full_fallback_chain(recognizer, kb):
         "rsid": "rs113488022",
         "gene": "BRAF: c.1799T>A",
     }
+    m.gene_context = "BRAF"
     for name, expected in outcomes.items():
         policy = NormalizationPolicy.from_string(name)
-        got = normalize(m, kb, gene_context="BRAF", policy=policy)
+        got = normalize(m, kb, policy=policy)
         assert got.render() == expected, name
+
+
+def test_gene_is_read_from_the_mention_only(recognizer, kb):
+    # A gene passed beside the mention could disagree with the one grouping
+    # reads; the policy is keyword-only so a gene cannot bind to it.
+    m = mention_for(recognizer, "the c.1799T>A variant")
+    with pytest.raises(TypeError):
+        normalize(m, kb, "BRAF")
+    with pytest.raises(TypeError):
+        normalize(m, kb, gene_context="BRAF")
 
 
 def test_no_gene_no_match_is_unnormalized(recognizer):
@@ -94,7 +105,8 @@ def test_no_gene_no_match_is_unnormalized(recognizer):
 def test_gene_anchor_without_kb_rows(recognizer):
     empty = KnowledgeBase(())
     m = mention_for(recognizer, "the c.1799T>A variant")
-    got = normalize(m, empty, gene_context="BRAF")
+    m.gene_context = "BRAF"
+    got = normalize(m, empty)
     assert got.kind is IdKind.GENE_ANCHORED
     assert got.render() == "BRAF: c.1799T>A"
 
@@ -109,7 +121,8 @@ def test_snp_mention_normalizes_directly(recognizer, kb):
 def test_incomplete_mention_stops_at_rsid(recognizer, kb):
     # P799 has no alternate allele, so allele-level ids are out of reach.
     m = mention_for(recognizer, "a change at P799 was seen", "P799")
-    got = normalize(m, kb, gene_context="TRPV4")
+    m.gene_context = "TRPV4"
+    got = normalize(m, kb)
     assert got.kind is IdKind.RSID
     assert got.render() == "rs121912637"
 
@@ -120,7 +133,8 @@ def test_incomplete_mention_never_gets_caid():
     ))
     rec = Recognizer(frozenset({"TP53"}))
     m = mention_for(rec, "residue R175 was altered", "R175")
-    got = normalize(m, kb, gene_context="TP53")
+    m.gene_context = "TP53"
+    got = normalize(m, kb)
     assert got.kind is IdKind.GENE_ANCHORED
     assert got.render() == "TP53: p.R175"
 
@@ -128,11 +142,13 @@ def test_incomplete_mention_never_gets_caid():
 def test_gene_context_narrows_candidates(kb):
     rec = Recognizer(frozenset({"BRAF", "KRAS"}))
     m = mention_for(rec, "we saw V600E in tumours", "V600E")
-    braf = normalize(m, kb, gene_context="BRAF")
+    m.gene_context = "BRAF"
+    braf = normalize(m, kb)
     assert braf.render() == "CA123643"
     # KRAS has no V600E row; the global index still finds the BRAF row and
     # nothing contradicts it, so the id survives gene mismatch.
-    kras = normalize(m, kb, gene_context="KRAS")
+    m.gene_context = "KRAS"
+    kras = normalize(m, kb)
     assert kras.render() == "CA123643"
 
 
@@ -147,7 +163,8 @@ def test_ambiguity_flag_when_two_genes_share_surface():
     assert got.ambiguous
     assert got.kind is IdKind.CAID
     # Gene context collapses the ambiguity.
-    scoped = normalize(m, kb, gene_context="GENEB")
+    m.gene_context = "GENEB"
+    scoped = normalize(m, kb)
     assert not scoped.ambiguous
     assert scoped.render() == "CA2"
 

@@ -9,8 +9,8 @@ read file byte for byte.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterable, TextIO, Union
 
 from .errors import FileUnreadable, MalformedLine, OffsetMismatch
@@ -59,117 +59,85 @@ def _lines(text: str) -> list[str]:
     return text.split("\n")
 
 
-def _parse_int(line_no: int, value: str, what: str) -> int:
-    if not value.isdigit():
-        raise MalformedLine(line_no, f"bad {what} {value!r}")
-    return int(value)
-
-
-class _BlockReader:
-    """Accumulates one document block line by line."""
-
-    def __init__(self):
-        self.doc_id = None
-        self.title = None
-        self.abstract = None
-        self.annotations: list[Annotation] = []
-        self.pending: list[tuple[int, list[str]]] = []
-
-    def feed_text_line(self, line_no: int, line: str) -> None:
-        doc_id, tag, payload = line.split("|", 2)
-        if not doc_id:
-            raise MalformedLine(line_no, "empty document id")
-        if self.doc_id is None:
-            self.doc_id = doc_id
-        elif doc_id != self.doc_id:
-            raise MalformedLine(
-                line_no, f"document id {doc_id!r} inside block {self.doc_id!r}"
-            )
-        if tag == "t":
-            if self.title is not None:
-                raise MalformedLine(line_no, "second title line in block")
-            self.title = payload
-        else:
-            if self.title is None:
-                raise MalformedLine(line_no, "abstract line before title line")
-            if self.abstract is not None:
-                raise MalformedLine(line_no, "second abstract line in block")
-            self.abstract = payload
-
-    def feed_annotation(self, line_no: int, line: str) -> None:
-        cols = line.split("\t")
-        if len(cols) not in (5, 6):
-            raise MalformedLine(
-                line_no, f"expected 5 or 6 tab-separated fields, got {len(cols)}"
-            )
-        if self.doc_id is None or cols[0] != self.doc_id:
-            raise MalformedLine(
-                line_no,
-                f"annotation for {cols[0]!r} inside block {self.doc_id!r}",
-            )
-        self.pending.append((line_no, cols))
-
-    def finish(self) -> Document:
-        if self.title is None:
-            raise MalformedLine(
-                self.pending[0][0] if self.pending else 0,
-                f"block {self.doc_id!r} has no title line",
-            )
-        abstract = self.abstract if self.abstract is not None else ""
-        doc = Document(self.doc_id, self.title, abstract)
-        data = doc.full_text.encode("utf-8")
-        for line_no, cols in self.pending:
-            start = _parse_int(line_no, cols[1], "start offset")
-            end = _parse_int(line_no, cols[2], "end offset")
-            if end <= start:
-                raise MalformedLine(line_no, f"empty span {start}..{end}")
-            mention_text, label = cols[3], cols[4]
-            if not label:
-                raise MalformedLine(line_no, "empty annotation label")
-            try:
-                found = data[start:end].decode("utf-8")
-            except UnicodeDecodeError:
-                # The span cuts a multi-byte character in two.
-                found = data[start:end].decode("utf-8", "replace")
-                raise OffsetMismatch(
-                    self.doc_id, start, end, mention_text, found
-                ) from None
-            if found != mention_text:
-                raise OffsetMismatch(self.doc_id, start, end, mention_text, found)
-            norm_id = cols[5] if len(cols) == 6 else ""
-            self.annotations.append(
-                Annotation(start, end, mention_text, label, norm_id)
-            )
-        return Document(self.doc_id, self.title, abstract, tuple(self.annotations))
-
-
 def read_pubtator(source: Union[str, TextIO]) -> list[Document]:
     """Parse a PubTator file into documents, verifying every offset."""
-    content = _read_text(source)
-    docs: list[Document] = []
-    block: _BlockReader | None = None
-    for line_no, line in enumerate(_lines(content), start=1):
-        if not line.strip():
-            if block is not None:
-                docs.append(block.finish())
-                block = None
-            continue
-        if block is None:
-            block = _BlockReader()
-        parts = line.split("|", 2)
-        if len(parts) == 3 and parts[1] in ("t", "a") and "\t" not in parts[0]:
-            block.feed_text_line(line_no, line)
-        elif "\t" in line:
-            block.feed_annotation(line_no, line)
-        else:
-            raise MalformedLine(line_no, f"unrecognized line {line!r}")
-    if block is not None:
-        docs.append(block.finish())
-    return docs
+    return read_pubtator_text(_read_text(source))
 
 
 def read_pubtator_text(text: str) -> list[Document]:
-    return read_pubtator(io.StringIO(text))
+    # A block is a run of numbered lines that are not whitespace only.
+    numbered = enumerate(_lines(text), start=1)
+    runs = groupby(numbered, lambda pair: bool(pair[1].strip()))
+    return [_read_block(list(block)) for filled, block in runs if filled]
+
+
+def _read_block(block: list[tuple[int, str]]) -> Document:
+    """The document of one block of numbered lines, every offset verified.
+
+    Only a text line sets the id, and an abstract line needs a title line
+    before it, so a block that gets past its lines has a title.
+    """
+    doc_id = title = abstract = None
+    rows: list[tuple[int, list[str]]] = []
+    for line_no, line in block:
+        parts = line.split("|", 2)
+        if len(parts) == 3 and parts[1] in ("t", "a") and "\t" not in parts[0]:
+            line_id, tag, payload = parts
+            if not line_id:
+                raise MalformedLine(line_no, "empty document id")
+            doc_id = doc_id or line_id
+            if line_id != doc_id:
+                raise MalformedLine(
+                    line_no, f"document id {line_id!r} inside block {doc_id!r}"
+                )
+            if tag == "t":
+                if title is not None:
+                    raise MalformedLine(line_no, "second title line in block")
+                title = payload
+            elif title is None:
+                raise MalformedLine(line_no, "abstract line before title line")
+            elif abstract is not None:
+                raise MalformedLine(line_no, "second abstract line in block")
+            else:
+                abstract = payload
+        elif "\t" in line:
+            cols = line.split("\t")
+            if len(cols) not in (5, 6):
+                raise MalformedLine(
+                    line_no, f"expected 5 or 6 tab-separated fields, got {len(cols)}"
+                )
+            if cols[0] != doc_id:
+                raise MalformedLine(
+                    line_no, f"annotation for {cols[0]!r} inside block {doc_id!r}"
+                )
+            rows.append((line_no, cols))
+        else:
+            raise MalformedLine(line_no, f"unrecognized line {line!r}")
+    doc = Document(doc_id, title, abstract or "")
+    data = doc.full_text.encode("utf-8")
+    annotations: list[Annotation] = []
+    for line_no, cols in rows:
+        first, last, mention_text, label = cols[1], cols[2], cols[3], cols[4]
+        if not first.isdigit():
+            raise MalformedLine(line_no, f"bad start offset {first!r}")
+        if not last.isdigit():
+            raise MalformedLine(line_no, f"bad end offset {last!r}")
+        start, end = int(first), int(last)
+        if end <= start:
+            raise MalformedLine(line_no, f"empty span {start}..{end}")
+        if not label:
+            raise MalformedLine(line_no, "empty annotation label")
+        try:
+            found = data[start:end].decode("utf-8")
+        except UnicodeDecodeError:
+            # The span cuts a multi-byte character in two.
+            found = data[start:end].decode("utf-8", "replace")
+            raise OffsetMismatch(doc_id, start, end, mention_text, found) from None
+        if found != mention_text:
+            raise OffsetMismatch(doc_id, start, end, mention_text, found)
+        norm_id = cols[5] if len(cols) == 6 else ""
+        annotations.append(Annotation(start, end, mention_text, label, norm_id))
+    return Document(doc_id, title, doc.abstract, tuple(annotations))
 
 
 def write_pubtator(docs: Iterable[Document]) -> str:

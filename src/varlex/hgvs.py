@@ -141,6 +141,17 @@ NUMBER_WORDS = {
 }
 
 
+# The non-ASCII characters re.IGNORECASE matches to an ASCII letter, by
+# letter.  fold replaces "ı" first, so "ı" plus a combining dot gives "i".
+_OTHER_CASES = {"s": "ſ", "i": "ıİ", "k": "K"}
+_FOLDS = tuple(
+    (other.lower(), letter)
+    for letter, others in _OTHER_CASES.items()
+    for other in others
+    if other.lower() != letter
+)
+
+
 def fold(text: str) -> str:
     """Lower-case ``text`` so that every character ``re.IGNORECASE`` matches
     to an ASCII letter becomes that letter.
@@ -152,7 +163,9 @@ def fold(text: str) -> str:
     low = text.lower()
     if low.isascii():
         return low
-    return low.replace("ſ", "s").replace("ı", "i").replace("i\u0307", "i")
+    for lowered, letter in _FOLDS:
+        low = low.replace(lowered, letter)
+    return low
 
 
 def _initials(words: Iterable[str]) -> str:
@@ -655,12 +668,6 @@ def _build_region(m: re.Match, gd: dict[str, str | None]) -> RegionDescriptor:
 
 # Trigger literals shared by several rules; see GrammarRule.
 _ARROW_TRIGGERS = (">", "→")
-# Every amino-acid name holds one of these ("isoleucine" holds "leucine").
-_AA_NAME_TRIGGERS = (
-    "alanine", "arginine", "asparagine", "aspart", "cysteine", "glutam",
-    "glycine", "histidine", "leucine", "lysine", "methionine", "proline",
-    "serine", "threonine", "tryptophan", "tyrosine", "valine", "stop",
-)
 
 # Start characters shared by several rules; see GrammarRule.  A position
 # may follow a sequence-level prefix ("c."), a residue a "p." prefix.
@@ -814,7 +821,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         MentionType.PROTEIN_CHANGE,
         r"(?P<wtn>%s)\s+to\s+(?P<mtn>%s)" % (_AA_NAME, _AA_NAME),
         flags=re.IGNORECASE,
-        triggers=_AA_NAME_TRIGGERS,
+        triggers=tuple(AA_NAME_TO_1),
         starts=_AA_NAME_STARTS,
     ),
     GrammarRule(

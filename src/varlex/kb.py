@@ -137,26 +137,27 @@ def load_kb(source: Union[str, TextIO]) -> KnowledgeBase:
     Raises FileUnreadable, MalformedRow (with line and column), or
     DuplicateKey when one (gene, HGVS) key claims two different rs numbers.
     """
+    return KnowledgeBase(_kb_rows(source))
+
+
+def _kb_rows(source: Union[str, TextIO]) -> list[VariantRecord]:
+    # Returning frees the lines and the key map before the indexes are built.
     lines = _lines(_read_text(source))
-    if not lines or [c.strip() for c in lines[0].split("\t")] != list(KB_HEADER):
+    if [c.strip() for c in lines[0].split("\t")] != list(KB_HEADER):
         raise MalformedRow(1, "header", "missing or wrong header line")
     records: list[VariantRecord] = []
-    first_rsid: dict[tuple[str, str], tuple[int, str]] = {}
+    first_rsid: dict[tuple[str, str], str] = {}
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         rec = _check_row(line_no, line.split("\t"))
         for hgvs in (rec.dna_hgvs, rec.protein_hgvs):
-            if not hgvs or not rec.rsid:
-                continue
-            key = (rec.gene, hgvs)
-            prior = first_rsid.get(key)
-            if prior is None:
-                first_rsid[key] = (line_no, rec.rsid)
-            elif prior[1] != rec.rsid:
-                raise DuplicateKey(line_no, key, prior[1], rec.rsid)
+            if hgvs and rec.rsid:
+                prior = first_rsid.setdefault((rec.gene, hgvs), rec.rsid)
+                if prior != rec.rsid:
+                    raise DuplicateKey(line_no, (rec.gene, hgvs), prior, rec.rsid)
         records.append(rec)
-    return KnowledgeBase(records)
+    return records
 
 
 def load_genes(source: Union[str, TextIO]) -> frozenset[str]:

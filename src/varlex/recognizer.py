@@ -27,6 +27,7 @@ from .hgvs import (
     GrammarRule,
     MentionType,
     TYPE_PRIORITY,
+    _OTHER_CASES,
     classify_descriptor,
     fold,
     parse_descriptor,
@@ -88,8 +89,6 @@ class _Candidate:
     gene_hint: str | None = None
 
 
-# re.IGNORECASE matches these non-ASCII characters to an ASCII letter too.
-_OTHER_CASES = {"i": "İı", "k": "K", "s": "ſ"}
 _ASCII_DIGITS = frozenset("0123456789")
 
 

@@ -122,6 +122,55 @@ def test_malformed_annotation_lines(ann):
         read_pubtator_text(text)
 
 
+_HEAD = "5|t|Title.\n5|a|Body.\n"
+
+
+@pytest.mark.parametrize("text,error,line_no,message", [
+    ("|t|Title.\n", MalformedLine, 1, "line 1: empty document id"),
+    ("5|t|Title.\n6|a|Body.\n", MalformedLine, 2,
+     "line 2: document id '6' inside block '5'"),
+    ("5|t|One.\n5|t|Two.\n", MalformedLine, 2,
+     "line 2: second title line in block"),
+    ("5|a|Abstract first.\n", MalformedLine, 1,
+     "line 1: abstract line before title line"),
+    (_HEAD + "5|a|Again.\n", MalformedLine, 3,
+     "line 3: second abstract line in block"),
+    (_HEAD + "5\t0\t5\n", MalformedLine, 3,
+     "line 3: expected 5 or 6 tab-separated fields, got 3"),
+    (_HEAD + "6\t0\t5\tTitle\tGene\n", MalformedLine, 3,
+     "line 3: annotation for '6' inside block '5'"),
+    ("5\t0\t5\tTitle\tGene\n5|t|Title.\n", MalformedLine, 1,
+     "line 1: annotation for '5' inside block None"),
+    (_HEAD + "Body.\n", MalformedLine, 3, "line 3: unrecognized line 'Body.'"),
+    (_HEAD + "5\tzero\t5\tTitle\tGene\n", MalformedLine, 3,
+     "line 3: bad start offset 'zero'"),
+    (_HEAD + "5\t0\tfive\tTitle\tGene\n", MalformedLine, 3,
+     "line 3: bad end offset 'five'"),
+    (_HEAD + "5\t6\t5\tTitle\tGene\n", MalformedLine, 3,
+     "line 3: empty span 6..5"),
+    (_HEAD + "5\t0\t5\tTitle\t\n", MalformedLine, 3,
+     "line 3: empty annotation label"),
+    (_HEAD + "5\t0\t5\tWrong\tGene\n", OffsetMismatch, None,
+     "document 5: span [0, 5) reads 'Title', annotation says 'Wrong'"),
+    ("6|t|Café\n6\t4\t6\té \tGene\n", OffsetMismatch, None,
+     "document 6: span [4, 6) reads '\ufffd ', annotation says 'é '"),
+    # Every line of a block is checked before any of its offsets, and a
+    # block is read whole before the next one starts.
+    (_HEAD + "5\t0\t5\tWrong\tGene\nBody.\n", MalformedLine, 4,
+     "line 4: unrecognized line 'Body.'"),
+    (_HEAD + "5\t0\t5\tWrong\tGene\n\nBody.\n", OffsetMismatch, None,
+     "document 5: span [0, 5) reads 'Title', annotation says 'Wrong'"),
+    (_HEAD + "5\t0\t5\tTitle\tGene\n \t\n6|t|A.\r\n6|t|B.\n", MalformedLine,
+     6, "line 6: second title line in block"),
+])
+def test_every_reader_error_names_its_line(text, error, line_no, message):
+    with pytest.raises(error) as info:
+        read_pubtator_text(text)
+    assert type(info.value) is error
+    assert getattr(info.value, "line_no", None) == line_no
+    assert str(info.value) == message
+
+
 def test_offset_mismatch_reports_expected_and_found():
     text = "5|t|Title.\n5|a|Body.\n5\t0\t5\tWrong\tGene\n\n"
     with pytest.raises(OffsetMismatch) as err:

@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 
 import pytest
 
@@ -157,6 +158,26 @@ def test_conflicting_rsids_for_same_variant_rejected(tmp_path):
         load_kb(write_kb(tmp_path, rows))
     assert err.value.first == "rs1"
     assert err.value.second == "rs2"
+    assert err.value.line_no == 3
+
+
+def test_load_peak_stays_near_what_stays_live(tmp_path):
+    # The file's lines and the duplicate-key map are freed before the
+    # indexes are built.
+    rows = [
+        f"rs{i}\tCA{i}\tG{i % 97}\tc.{i}A>T\tp.M{i}L\tA\tT"
+        for i in range(1, 5001)
+    ]
+    path = write_kb(tmp_path, rows)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kb = load_kb(path)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kb) == 5000
+    assert peak - before <= 1.2 * (live - before)
 
 
 def test_repeated_identical_mapping_allowed(tmp_path):

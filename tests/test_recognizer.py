@@ -518,13 +518,14 @@ def test_arbitration_matches_pairwise_oracle(spans):
     assert Recognizer._resolve(candidates) == [t[3] for t in want]
 
 
-def _min_seconds(annotator, texts):
-    # Interleaved, so a slow spell of the machine hits every size alike.
-    best = [float("inf")] * len(texts)
+def _min_seconds(annotator, batches):
+    # Interleaved, so a slow spell of the machine hits every batch alike.
+    best = [float("inf")] * len(batches)
     for _ in range(3):
-        for k, text in enumerate(texts):
+        for k, batch in enumerate(batches):
             started = time.perf_counter()
-            annotator.annotate_text(text)
+            for text in batch:
+                annotator.annotate_text(text)
             best[k] = min(best[k], time.perf_counter() - started)
     return best
 
@@ -532,14 +533,19 @@ def _min_seconds(annotator, texts):
 def _doubling_ratio(annotator, build):
     """How much longer ``build(2 * n)`` takes to annotate than ``build(n)``,
     for the first doubled n whose text takes 25 ms.  The median of five
-    min-of-3 ratios: a shared machine slows single runs by a third."""
+    min-of-3 ratios: a shared machine slows single runs by a third.
+
+    ``build(n)`` is annotated twice per timing, so both timings span the
+    same wall time: when other work on the host comes in short bursts, a
+    window half as long is left clean more often, which inflates the
+    ratio."""
     n = 25
-    while _min_seconds(annotator, [build(n)])[0] < 0.025:
+    while _min_seconds(annotator, [[build(n)]])[0] < 0.025:
         n *= 2
-    texts = [build(n), build(2 * n)]
+    batches = [[build(n)] * 2, [build(2 * n)]]
     return statistics.median(
-        twice / once
-        for once, twice in (_min_seconds(annotator, texts) for _ in range(5))
+        2 * twice / pair
+        for pair, twice in (_min_seconds(annotator, batches) for _ in range(5))
     )
 
 

@@ -13,14 +13,13 @@ from .errors import (
     FileUnreadable,
     MalformedLine,
     MalformedRow,
-    NoSeparator,
     OffsetMismatch,
     ParseFailure,
     UnknownResidue,
     VarlexError,
 )
 from .evaluation import EvalMode, EvalReport, evaluate
-from .grouping import VariantGroup, group_mentions, is_prefix_compatible, propagated_ids
+from .grouping import VariantGroup, group_mentions, propagated_ids
 from .hgvs import (
     ComponentRole,
     EditKind,
@@ -33,9 +32,7 @@ from .hgvs import (
     classify_descriptor,
     classify_surface,
     normalize_amino_acid,
-    normalize_arrow,
     parse_descriptor,
-    parse_identifier,
     region_string,
 )
 from .kb import KnowledgeBase, VariantRecord, load_genes, load_kb
@@ -47,7 +44,6 @@ from .normalizer import (
     NormalizedId,
     candidate_records,
     normalize,
-    parse_rendered,
     resolve_gene_context,
 )
 from .pipeline import Annotator
@@ -75,7 +71,6 @@ __all__ = [
     "MalformedRow",
     "Mention",
     "MentionType",
-    "NoSeparator",
     "NormalizationPolicy",
     "NormalizedId",
     "OffsetMismatch",
@@ -94,16 +89,12 @@ __all__ = [
     "classify_surface",
     "evaluate",
     "group_mentions",
-    "is_prefix_compatible",
     "load_genes",
     "load_kb",
     "candidate_records",
     "normalize",
-    "parse_rendered",
     "normalize_amino_acid",
-    "normalize_arrow",
     "parse_descriptor",
-    "parse_identifier",
     "propagated_ids",
     "read_pubtator",
     "read_pubtator_text",

@@ -117,12 +117,9 @@ def _read_block(block: list[tuple[int, str]]) -> Document:
     data = doc.full_text.encode("utf-8")
     annotations: list[Annotation] = []
     for line_no, cols in rows:
-        first, last, mention_text, label = cols[1], cols[2], cols[3], cols[4]
-        if not first.isdigit():
-            raise MalformedLine(line_no, f"bad start offset {first!r}")
-        if not last.isdigit():
-            raise MalformedLine(line_no, f"bad end offset {last!r}")
-        start, end = int(first), int(last)
+        start = _offset(line_no, "start", cols[1])
+        end = _offset(line_no, "end", cols[2])
+        mention_text, label = cols[3], cols[4]
         if end <= start:
             raise MalformedLine(line_no, f"empty span {start}..{end}")
         if not label:
@@ -138,6 +135,16 @@ def _read_block(block: list[tuple[int, str]]) -> Document:
         norm_id = cols[5] if len(cols) == 6 else ""
         annotations.append(Annotation(start, end, mention_text, label, norm_id))
     return Document(doc_id, title, doc.abstract, tuple(annotations))
+
+
+def _offset(line_no: int, which: str, value: str) -> int:
+    """An offset column read as ASCII digits, or MalformedLine."""
+    if value.isascii() and value.isdigit():
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise MalformedLine(line_no, f"bad {which} offset {value!r}")
 
 
 def write_pubtator(docs: Iterable[Document]) -> str:

@@ -38,14 +38,6 @@ class UnknownResidue(VarlexError):
         super().__init__(f"unknown residue {name!r}")
 
 
-class NoSeparator(VarlexError):
-    """A wild-type/mutant pair has no recognizable separator between the alleles."""
-
-    def __init__(self, text: str):
-        self.text = text
-        super().__init__(f"no allele separator found in {text!r}")
-
-
 class FileUnreadable(VarlexError):
     """A required input file is missing or cannot be opened."""
 

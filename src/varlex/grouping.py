@@ -37,18 +37,6 @@ def _prefix_key(d) -> tuple | None:
     return None
 
 
-def is_prefix_compatible(a: VariantDescriptor, b: VariantDescriptor) -> bool:
-    """True when one descriptor is the other minus its mutant allele.
-
-    Both must be substitutions at the same level and position with the same
-    wild-type; exactly one of them names a mutant.
-    """
-    key = _prefix_key(a)
-    if key is None or key != _prefix_key(b):
-        return False
-    return (a.alt_allele is None) != (b.alt_allele is None)
-
-
 @dataclass(frozen=True)
 class VariantGroup:
     """Indices into the mention list, plus the identifier they share."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Union
 
-from .errors import NoSeparator, ParseFailure, UnknownResidue
+from .errors import ParseFailure, UnknownResidue
 
 
 class MentionType(Enum):
@@ -43,10 +43,6 @@ class MentionType(Enum):
     @property
     def label(self) -> str:
         return self.value
-
-    @classmethod
-    def from_label(cls, label: str) -> "MentionType":
-        return cls(label)
 
 
 # Overlap arbitration order: more specific concept types win when spans tie.
@@ -196,23 +192,6 @@ def normalize_amino_acid(name: str) -> str:
     if low in AA_NAME_TO_1:
         return AA_NAME_TO_1[low]
     raise UnknownResidue(name)
-
-
-_ARROW = re.compile(r"-->|->|→|>|/|\s+to\s+", re.IGNORECASE)
-
-
-def normalize_arrow(text: str) -> str:
-    """Rewrite a wild-type/mutant pair to canonical ``X>Y`` form.
-
-    Understands the separators ``>``, ``->``, ``-->``, ``→``, ``/`` and the
-    word ``to``; each side may be a nucleotide letter or name, or an amino
-    acid in any spelling ("methionine to threonine" -> "M>T").
-    """
-    m = _ARROW.search(text)
-    if m is None:
-        raise NoSeparator(text)
-    left, right = text[: m.start()], text[m.end():]
-    return f"{_normalize_allele_name(left)}>{_normalize_allele_name(right)}"
 
 
 def _normalize_allele_name(side: str) -> str:
@@ -942,21 +921,12 @@ def parse_descriptor(surface: str, hint: MentionType) -> Descriptor:
     """
     if hint in IDENTIFIER_TYPES:
         raise ValueError(f"{hint.name} mentions carry identifiers; "
-                         "use parse_identifier")
+                         "use classify_surface")
     rule, m = next(_full_matches(surface, RULES_BY_TYPE[hint]))
     try:
         return rule.build(m)
     except ValueError as exc:
         raise ParseFailure(surface, 0, str(exc)) from exc
-
-
-def parse_identifier(surface: str, hint: MentionType) -> str:
-    """Normalize an identifier surface (dbSNP rs number, RefSeq accession)."""
-    if hint not in IDENTIFIER_TYPES:
-        raise ValueError(f"{hint.name} mentions carry descriptors; "
-                         "use parse_descriptor")
-    rule, m = next(_full_matches(surface, RULES_BY_TYPE[hint]))
-    return rule.build(m)
 
 
 def classify_surface(surface: str) -> tuple[MentionType, Descriptor | str]:

@@ -23,7 +23,7 @@ from .hgvs import _DNA_ALPHABET, SequenceLevel, VariantDescriptor, canonical_str
 
 KB_HEADER = ("rsid", "ca_id", "gene", "dna_hgvs", "protein_hgvs", "ref", "alt")
 
-_RSID_RX = re.compile(r"rs[1-9]\d*")
+_RSID_RX = re.compile(r"rs[1-9][0-9]*")
 _CAID_RX = re.compile(r"CA\d+")
 _PROT_PREFIX_RX = re.compile(r"p\.([A-Z])(\d+)")
 
@@ -40,16 +40,11 @@ class VariantRecord:
     ref_allele: str
     alt_allele: str
 
-    @property
-    def rsid_number(self) -> int:
-        return int(self.rsid[2:]) if self.rsid else 0
-
     def sort_key(self) -> tuple:
-        # Rows with an rsid come first, lowest number winning; CA-only rows
-        # order by accession so result lists stay reproducible.
-        if self.rsid:
-            return (0, self.rsid_number, self.ca_id)
-        return (1, 0, self.ca_id)
+        # Rows with an rsid come first, lowest number winning: rs numbers are
+        # ASCII digits without a leading zero, so a shorter one is smaller.
+        # CA-only rows order by accession so result lists stay reproducible.
+        return (not self.rsid, len(self.rsid), self.rsid, self.ca_id)
 
 
 def _check_row(line_no: int, cols: list[str]) -> VariantRecord:

@@ -9,13 +9,12 @@ holds.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
 
 from .hgvs import MentionType, VariantDescriptor, canonical_string
-from .kb import _CAID_RX, _RSID_RX, KnowledgeBase, VariantRecord
+from .kb import KnowledgeBase, VariantRecord
 from .recognizer import GeneMention, Mention
 
 
@@ -58,28 +57,6 @@ class NormalizedId:
 
 UNNORMALIZED = NormalizedId(IdKind.UNNORMALIZED)
 
-_RS_ALLELE_RX = re.compile(r"(%s)\(([A-Z*]+)>([A-Z*]+)\)" % _RSID_RX.pattern)
-
-
-def parse_rendered(text: str) -> NormalizedId:
-    """Inverse of :meth:`NormalizedId.render`."""
-    if text == "-":
-        return UNNORMALIZED
-    if _CAID_RX.fullmatch(text):
-        return NormalizedId(IdKind.CAID, ca=text)
-    m = _RS_ALLELE_RX.fullmatch(text)
-    if m:
-        return NormalizedId(
-            IdKind.RS_ALLELE, rsid=m.group(1), ref=m.group(2), alt=m.group(3)
-        )
-    if _RSID_RX.fullmatch(text):
-        return NormalizedId(IdKind.RSID, rsid=text)
-    gene, sep, hgvs = text.partition(": ")
-    if sep and gene and hgvs:
-        return NormalizedId(IdKind.GENE_ANCHORED, gene=gene, hgvs=hgvs)
-    raise ValueError(f"unrecognized identifier rendering {text!r}")
-
-
 _POLICY_NAMES = {
     "caid": IdKind.CAID,
     "rs_allele": IdKind.RS_ALLELE,
@@ -107,8 +84,6 @@ class NormalizationPolicy:
             kind = _POLICY_NAMES[name]
             if kind not in kinds:
                 kinds.append(kind)
-        if not kinds:
-            raise ValueError("empty normalization policy")
         return cls(tuple(kinds))
 
 

@@ -146,6 +146,15 @@ _HEAD = "5|t|Title.\n5|a|Body.\n"
      "line 3: bad start offset 'zero'"),
     (_HEAD + "5\t0\tfive\tTitle\tGene\n", MalformedLine, 3,
      "line 3: bad end offset 'five'"),
+    # Offsets are ASCII digits: not a superscript, which int() rejects, nor
+    # Arabic-Indic digits, which it reads (0..12 would select the text).
+    (_HEAD + "5\t\u00b2\t5\tTitle\tGene\n", MalformedLine, 3,
+     "line 3: bad start offset '\u00b2'"),
+    (_HEAD + "5\t0\t\u0661\u0662\tTitle. Body.\tGene\n", MalformedLine, 3,
+     "line 3: bad end offset '\u0661\u0662'"),
+    pytest.param(_HEAD + "5\t" + "9" * 5000 + "\t5\tTitle\tGene\n", MalformedLine,
+                 3, f"line 3: bad start offset '{'9' * 5000}'",
+                 id="start offset of 5000 digits"),
     (_HEAD + "5\t6\t5\tTitle\tGene\n", MalformedLine, 3,
      "line 3: empty span 6..5"),
     (_HEAD + "5\t0\t5\tTitle\t\n", MalformedLine, 3,

@@ -9,7 +9,6 @@ EXAMPLES = [
     errors.VarlexError("plain message"),
     errors.ParseFailure("p.V600", 6, "no mutant residue"),
     errors.UnknownResidue("Xaa"),
-    errors.NoSeparator("VE"),
     errors.FileUnreadable("/missing/kb.tsv", "no such file"),
     errors.MalformedRow(12, "gene", "empty"),
     errors.DuplicateKey(40, ("BRAF", "c.1799T>A"), "rs1", "rs2"),

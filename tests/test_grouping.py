@@ -8,6 +8,7 @@ from varlex import (
     UNNORMALIZED,
     IdKind,
     KnowledgeBase,
+    Mention,
     Recognizer,
     VariantRecord,
     classify_surface,
@@ -15,13 +16,17 @@ from varlex import (
     normalize,
     propagated_ids,
 )
-from varlex.grouping import is_prefix_compatible
 
 import oracles
 
 
 def desc(surface):
     return classify_surface(surface)[1]
+
+
+def bare_mention(surface):
+    mtype, d = classify_surface(surface)
+    return Mention("d", 0, len(surface), surface, mtype, descriptor=d)
 
 
 @pytest.mark.parametrize("a,b,expected", [
@@ -36,7 +41,11 @@ def desc(surface):
     ("1799T>A", "1799T", True),
 ])
 def test_prefix_compatibility_table(a, b, expected):
-    assert is_prefix_compatible(desc(a), desc(b)) is expected
+    # No KB record and no id links the two, so only a prefix link can.
+    mentions = [bare_mention(a), bare_mention(b)]
+    groups = group_mentions(mentions, [UNNORMALIZED] * 2, KnowledgeBase(()))
+    assert (len(groups) == 1) is expected
+    assert oracles.prefix_compatible(desc(a), desc(b)) is expected
 
 
 def analyse(text, kb, lexicon=None):

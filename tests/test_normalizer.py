@@ -14,7 +14,6 @@ from varlex import (
     UNNORMALIZED,
     VariantRecord,
     normalize,
-    parse_rendered,
     resolve_gene_context,
 )
 from varlex.normalizer import gene_contexts
@@ -41,24 +40,6 @@ def test_render_all_five_forms():
     assert UNNORMALIZED.render() == "-"
 
 
-@pytest.mark.parametrize("rendered", [
-    "CA123643",
-    "rs113488022(T>A)",
-    "rs763780",
-    "BRAF: c.1799T>A",
-    "KRAS: p.G12D",
-    "-",
-])
-def test_parse_rendered_round_trips(rendered):
-    assert parse_rendered(rendered).render() == rendered
-
-
-@pytest.mark.parametrize("garbage", ["", "CA", "rs(T>A)", "rs12(TA)", "BRAF:", "x"])
-def test_parse_rendered_rejects_garbage(garbage):
-    with pytest.raises(ValueError):
-        parse_rendered(garbage)
-
-
 def test_policy_from_string():
     policy = NormalizationPolicy.from_string("rsid,gene")
     assert policy.order == (IdKind.RSID, IdKind.GENE_ANCHORED)
@@ -66,7 +47,7 @@ def test_policy_from_string():
     assert dedup.order == (IdKind.CAID, IdKind.RS_ALLELE)
     with pytest.raises(ValueError):
         NormalizationPolicy.from_string("caid,bogus")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown policy tier ''"):
         NormalizationPolicy.from_string("")
 
 

@@ -164,8 +164,9 @@ def fold(text: str) -> str:
     return low
 
 
-def _initials(words: Iterable[str]) -> str:
-    return "".join(sorted({word[0] for word in words}))
+def _letters_at(words: Iterable[str], i: int) -> str:
+    """The characters the ``words`` hold at index ``i``, sorted."""
+    return "".join(sorted({word[i] for word in words}))
 
 
 def normalize_amino_acid(name: str) -> str:
@@ -494,13 +495,19 @@ class GrammarRule:
     For a case-sensitive rule they are exact-case and tested against the
     raw text; for an ``re.IGNORECASE`` rule they are lower-case and tested
     against :func:`fold` of the text.  A rule with no triggers always runs.
-    ``starts`` lists the characters a scan match can begin with, so the
-    recognizer tries the rule only at word starts holding one of them.  It
-    is declared the way ``triggers`` are: exact case for a case-sensitive
+    ``starts`` lists the characters a scan match can begin with and
+    ``seconds`` those its second character can be, so the recognizer tries
+    the rule only at word starts holding one of the first followed by one
+    of the second.  Every scan match is at least two characters long.  Both
+    are declared the way ``triggers`` are: exact case for a case-sensitive
     rule, lower case for an ``re.IGNORECASE`` one, whose other spellings
     the recognizer adds.  A rule that can begin with a digit lists the
     ASCII digits it takes; the recognizer also tries it at every other
-    decimal digit, since ``\\d`` matches those too.
+    decimal digit, since ``\\d`` matches those too.  Likewise a rule whose
+    second character can be any digit (``\\d``) lists all ten ASCII digits,
+    and one whose second character can be whitespace (``\\s``) lists the
+    ASCII whitespace; the recognizer also takes every other decimal digit,
+    and every other whitespace character, there.
     """
 
     name: str
@@ -511,6 +518,7 @@ class GrammarRule:
     scan_pattern: str | None = None
     triggers: tuple[str, ...] = ()
     starts: str = ""
+    seconds: str = ""
     rx: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -557,7 +565,8 @@ _NUC_NAME = "(?:%s)" % "|".join(NUC_NAME_TO_1)
 _NUM_WORD = "(?:%s)" % "|".join(
     sorted(NUMBER_WORDS, key=len, reverse=True)
 )
-_ARROW_SEP = r"\s?(?:-->|->|→|>)\s?"
+_ARROWS = ("-->", "->", "→", ">")
+_ARROW_SEP = r"\s?(?:%s)\s?" % "|".join(_ARROWS)
 _CHROM = r"(?:[1-9]\d?|[XY]|MT?)"
 _COORD = r"\d(?:[\d,]*\d)?"
 _CHR_WORD = r"[Cc]hr(?:omosome)?\.?\s*"
@@ -648,12 +657,25 @@ def _build_region(m: re.Match, gd: dict[str, str | None]) -> RegionDescriptor:
 # Trigger literals shared by several rules; see GrammarRule.
 _ARROW_TRIGGERS = (">", "→")
 
-# Start characters shared by several rules; see GrammarRule.  A position
-# may follow a sequence-level prefix ("c."), a residue a "p." prefix.
-_LEVEL_POS_STARTS = _DNA_LEVELS + "123456789"
+# Start and second characters shared by several rules; see GrammarRule.
+# A position may follow a sequence-level prefix ("c."), a residue a "p."
+# prefix.
+_DIGITS = "0123456789"
+_POS_STARTS = _DIGITS[1:]
+# The ASCII characters \s matches.
+_SPACES = "".join(c for c in map(chr, range(128)) if c.isspace())
+_LEVEL_POS_STARTS = _DNA_LEVELS + _POS_STARTS
+# After a level prefix's letter comes its dot; after a position's first
+# digit, another digit.
+_LEVEL_POS_SECONDS = "." + _DIGITS
 _AA1_STARTS = _AA20
-_AA3_STARTS = _initials(_AA3_WT)
-_AA_NAME_STARTS = _initials(AA_NAME_TO_1)
+_AA3_STARTS = _letters_at(_AA3_WT, 0)
+_AA3_SECONDS = _letters_at(_AA3_WT, 1)
+_AA_NAME_STARTS = _letters_at(AA_NAME_TO_1, 0)
+_AA_NAME_SECONDS = _letters_at(AA_NAME_TO_1, 1)
+# What may follow a residue or nucleotide letter on its way to an arrow.
+_ARROW_SECONDS = _SPACES + _letters_at(_ARROWS, 0)
+_REFSEQ_PREFIXES = ("NM", "NP", "NC", "NG", "NR", "XM", "XP")
 
 GRAMMAR_RULES: tuple[GrammarRule, ...] = (
     # --- identifiers -------------------------------------------------------
@@ -663,13 +685,15 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         r"[Rr][Ss](?P<digits>[1-9]\d*)",
         triggers=("rs", "Rs", "rS", "RS"),
         starts="Rr",
+        seconds="Ss",
     ),
     GrammarRule(
         "refseq",
         MentionType.REFSEQ,
-        r"(?P<acc>(?:NM|NP|NC|NG|NR|XM|XP)_\d+(?:\.\d+)?)",
-        triggers=("NM_", "NP_", "NC_", "NG_", "NR_", "XM_", "XP_"),
-        starts="NX",
+        r"(?P<acc>(?:%s)_\d+(?:\.\d+)?)" % "|".join(_REFSEQ_PREFIXES),
+        triggers=tuple(prefix + "_" for prefix in _REFSEQ_PREFIXES),
+        starts=_letters_at(_REFSEQ_PREFIXES, 0),
+        seconds=_letters_at(_REFSEQ_PREFIXES, 1),
     ),
     # --- DNA ---------------------------------------------------------------
     GrammarRule(
@@ -679,6 +703,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         % (_LV, _POS, _NUC, _ARROW_SEP, _NUC),
         triggers=_ARROW_TRIGGERS,
         starts=_LEVEL_POS_STARTS,
+        seconds=_LEVEL_POS_SECONDS + _NUC_LETTERS + _ARROW_SECONDS,
     ),
     GrammarRule(
         "dna_slash",
@@ -687,6 +712,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         % (_LV, _POS, _NUC, _NUC),
         triggers=("/",),
         starts=_LEVEL_POS_STARTS,
+        seconds=_LEVEL_POS_SECONDS + _NUC_LETTERS,
     ),
     GrammarRule(
         "dna_level_edit",
@@ -695,12 +721,14 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         scan_pattern=_LV + _LEVEL_EDIT,
         triggers=tuple(level + "." for level in _DNA_LEVELS),
         starts=_DNA_LEVELS,
+        seconds=".",
     ),
     GrammarRule(
         "dna_allele",
         MentionType.DNA_ALLELE,
         r"(?:%s)?(?P<pos>%s)(?P<wt>%s)" % (_LV, _POS, _NUC),
         starts=_LEVEL_POS_STARTS,
+        seconds=_LEVEL_POS_SECONDS + _NUC_LETTERS,
     ),
     GrammarRule(
         "dna_change_arrow",
@@ -708,6 +736,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         r"(?:%s)?(?P<wt>%s)%s(?P<mt>%s)" % (_LV, _NUC, _ARROW_SEP, _NUC),
         triggers=_ARROW_TRIGGERS,
         starts=_DNA_LEVELS + _NUC_LETTERS,
+        seconds="." + _ARROW_SECONDS,
     ),
     GrammarRule(
         "dna_change_slash",
@@ -715,6 +744,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         r"(?P<wt>%s)/(?P<mt>%s)" % (_NUC, _NUC),
         triggers=("/",),
         starts=_NUC_LETTERS,
+        seconds="/",
     ),
     GrammarRule(
         "dna_change_words",
@@ -722,7 +752,8 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         r"(?P<wtn>%s)\s+to\s+(?P<mtn>%s)" % (_NUC_NAME, _NUC_NAME),
         flags=re.IGNORECASE,
         triggers=tuple(NUC_NAME_TO_1),
-        starts=_initials(NUC_NAME_TO_1),
+        starts=_letters_at(NUC_NAME_TO_1, 0),
+        seconds=_letters_at(NUC_NAME_TO_1, 1),
     ),
     # --- protein -----------------------------------------------------------
     GrammarRule(
@@ -730,6 +761,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         MentionType.PROTEIN_MUTATION,
         r"(?:p\.)?(?P<wt>%s)(?P<pos>%s)(?P<mt>%s)" % (_AA1, _POS, _AA1_MUT),
         starts="p" + _AA1_STARTS,
+        seconds="." + _POS_STARTS,
     ),
     GrammarRule(
         "protein_three_letter",
@@ -737,6 +769,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         r"(?:p\.)?(?P<wt3>%s)(?P<pos>%s)(?P<mt3>%s)" % (_AA3, _POS, _AA3_MUT),
         triggers=_AA3_WT,
         starts="p" + _AA3_STARTS,
+        seconds="." + _AA3_SECONDS,
     ),
     GrammarRule(
         "protein_frameshift",
@@ -745,6 +778,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         % (_AA1, _AA3, _POS),
         triggers=("fs",),
         starts="p" + _AA1_STARTS,
+        seconds="." + _POS_STARTS + _AA3_SECONDS,
     ),
     GrammarRule(
         "protein_del_dup",
@@ -753,6 +787,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         % (_AA1, _AA3, _POS),
         triggers=("del", "dup"),
         starts="p" + _AA1_STARTS,
+        seconds="." + _POS_STARTS + _AA3_SECONDS,
     ),
     GrammarRule(
         "protein_range_edit",
@@ -769,6 +804,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         r"(?:p\.)?(?P<wt3>%s)(?P<pos>%s)" % (_AA3, _POS),
         triggers=_AA3_WT,
         starts="p" + _AA3_STARTS,
+        seconds="." + _AA3_SECONDS,
     ),
     GrammarRule(
         "protein_allele_p",
@@ -776,6 +812,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         r"p\.(?P<wt>%s)(?P<pos>%s)" % (_AA1, _POS),
         triggers=("p.",),
         starts="p",
+        seconds=".",
     ),
     GrammarRule(
         "protein_allele_one_letter",
@@ -785,6 +822,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         # shorthand is too noisy to claim.
         scan_pattern=r"(?P<wt>%s)(?P<pos>[1-9]\d+)" % _AA1,
         starts=_AA1_STARTS,
+        seconds=_POS_STARTS,
     ),
     GrammarRule(
         "protein_allele_words",
@@ -794,6 +832,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         flags=re.IGNORECASE,
         triggers=("codon", "residue", "position"),
         starts=_AA_NAME_STARTS,
+        seconds=_AA_NAME_SECONDS,
     ),
     GrammarRule(
         "protein_change_words",
@@ -802,6 +841,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         flags=re.IGNORECASE,
         triggers=tuple(AA_NAME_TO_1),
         starts=_AA_NAME_STARTS,
+        seconds=_AA_NAME_SECONDS,
     ),
     GrammarRule(
         "protein_change_three_letter",
@@ -809,6 +849,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         r"(?:p\.)?(?P<wt3>%s)\s+to\s+(?P<mt3>%s)" % (_AA3, _AA3),
         triggers=_AA3_WT,
         starts="p" + _AA3_STARTS,
+        seconds="." + _AA3_SECONDS,
     ),
     GrammarRule(
         "protein_change_arrow",
@@ -816,6 +857,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         r"(?:p\.)?(?P<wt>%s)%s(?P<mt>%s)" % (_AA1, _ARROW_SEP, _AA1_MUT),
         triggers=_ARROW_TRIGGERS,
         starts="p" + _AA1_STARTS,
+        seconds="." + _ARROW_SECONDS,
     ),
     # --- natural-language sizes --------------------------------------------
     GrammarRule(
@@ -826,7 +868,8 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         % (_NUM_WORD, _UNIT, _POS),
         flags=re.IGNORECASE,
         triggers=("deletion", "insertion", "duplication"),
-        starts="0123456789" + _initials(NUMBER_WORDS),
+        starts=_DIGITS + _letters_at(NUMBER_WORDS, 0),
+        seconds=_DIGITS + " -" + _letters_at(NUMBER_WORDS, 1),
     ),
     GrammarRule(
         "edit_size",
@@ -851,6 +894,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         flags=re.IGNORECASE,
         triggers=("chr",),
         starts="c",
+        seconds="h",
     ),
     GrammarRule(
         "cnv_edit_region",
@@ -862,6 +906,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         flags=re.IGNORECASE,
         triggers=("chr",),
         starts="d",
+        seconds="eu",
     ),
     GrammarRule(
         "genomic_region",
@@ -870,13 +915,15 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         % (_CHR_WORD, _CHROM, _COORD, _COORD),
         triggers=("chr", "Chr"),
         starts="Cc",
+        seconds="h",
     ),
     GrammarRule(
         "chromosome_band",
         MentionType.CHROMOSOME,
         r"(?:%s)?(?P<chrom>[1-9]\d?|[XY])(?P<arm>[pq])(?P<band>\d+(?:\.\d+)?)"
         % _CHR_WORD,
-        starts="Cc123456789XY",
+        starts="Cc" + _POS_STARTS + "XY",
+        seconds="h" + _DIGITS + "pq",
     ),
     GrammarRule(
         "chromosome_words",
@@ -886,6 +933,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         flags=re.IGNORECASE,
         triggers=("chromosome",),
         starts="c",
+        seconds="h",
     ),
 )
 

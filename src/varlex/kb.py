@@ -24,7 +24,7 @@ from .hgvs import _DNA_ALPHABET, SequenceLevel, VariantDescriptor, canonical_str
 KB_HEADER = ("rsid", "ca_id", "gene", "dna_hgvs", "protein_hgvs", "ref", "alt")
 
 _RSID_RX = re.compile(r"rs[1-9][0-9]*")
-_CAID_RX = re.compile(r"CA\d+")
+_CAID_RX = re.compile(r"CA[0-9]+")
 _PROT_PREFIX_RX = re.compile(r"p\.([A-Z])(\d+)")
 
 

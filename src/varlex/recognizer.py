@@ -3,18 +3,26 @@
 Every grammar rule is compiled once with word-boundary guards.  A rule is
 tried only on text holding one of its trigger literals (a rule without
 triggers always is), and there only at word starts holding one of its start
-characters.  One pass over the text finds the word starts of every rule in
-play; at each, a rule is matched unless its previous match covers the
-position, which gives exactly the matches of its own ``finditer``.
-Overlapping candidates are then arbitrated by span length, left position,
-and concept-type priority, in that order, so output never depends on rule
-order or dictionary iteration.  Mention offsets are UTF-8 byte positions
-into the scanned text.
+characters followed by one of its second characters.  Two alternations
+of every rule's triggers, one sought in the raw text and one in its
+:func:`fold`, find the triggers a text holds, one search per position where
+a trigger starts.  One pass over the text then finds the word starts of
+every rule in play; at each, a rule is matched unless its previous match
+covers the position, which gives exactly the matches of its own
+``finditer``.  Overlapping candidates are then arbitrated by span length,
+left position, and concept-type priority, in that order, so output never
+depends on rule order or dictionary iteration.  Mention offsets are UTF-8
+byte positions into the scanned text.
+
+The pipeline needs the genes of a text only when it holds a mention, so a
+text without a rule candidate gets the lexicon pass only when one of its
+letter+digit runs splits into a gene and a variant.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -43,6 +51,12 @@ _GUARD_AFTER = r"(?![0-9A-Za-z])"
 # both sides, so "3,18,33,000" is one run while "1,000, and" does not
 # swallow the second comma.
 _ALNUM_RUN = re.compile(r"[0-9A-Za-z]+(?:(?<=[0-9]),(?=[0-9])[0-9A-Za-z]+)*")
+# A digit beside a letter, which every letter+digit run holds; the rest
+# of its run; and a comma that joins two runs.
+_MIXED = re.compile(r"[0-9](?:(?<=[A-Za-z][0-9])|(?=[A-Za-z]))")
+_ALNUM_TAIL = re.compile(r"[0-9A-Za-z]*")
+_JOINING_COMMA = re.compile(r"(?<=[0-9]),(?=[0-9])")
+_ASCII_ALNUM = frozenset(string.ascii_letters + string.digits)
 
 
 @dataclass
@@ -92,15 +106,65 @@ class _Candidate:
 _ASCII_DIGITS = frozenset("0123456789")
 
 
-def _expanded_starts(rule: GrammarRule) -> str:
-    """The characters a scan match of ``rule`` can begin with: its
-    ``starts`` and, for an ``re.IGNORECASE`` rule, every other character
-    matching one of them.  Non-ASCII decimal digits are not listed."""
-    starts = rule.starts
-    if rule.flags & re.IGNORECASE:
-        other = "".join(_OTHER_CASES.get(c, "") for c in starts)
-        starts += starts.upper() + other
-    return starts
+def _expanded(chars: str, flags: int) -> str:
+    """The characters a rule with ``flags`` declaring ``chars`` (its
+    ``starts`` or its ``seconds``) takes there: ``chars`` and, for an
+    ``re.IGNORECASE`` rule, every other character matching one of them.
+    Non-ASCII decimal digits and whitespace are not listed."""
+    if flags & re.IGNORECASE:
+        other = "".join(_OTHER_CASES.get(c, "") for c in chars)
+        chars += chars.upper() + other
+    return "".join(dict.fromkeys(chars))
+
+
+def _letter_digit_runs(text: str) -> list[str]:
+    """The runs of ``_ALNUM_RUN`` that hold a letter and a digit and no
+    comma: the only ones that can hide a fused gene.
+
+    The search skips to digits, which prose holds few of, and reads each
+    run out from there; one regex that tries every word start took three
+    times as long on perfbench's pubmed_sparse corpus.
+    """
+    runs: list[str] = []
+    m = _MIXED.search(text)
+    while m is not None:
+        start = digit = m.start()
+        while start and text[start - 1] in _ASCII_ALNUM:
+            start -= 1
+        end = _ALNUM_TAIL.match(text, digit).end()
+        joined = (start and _JOINING_COMMA.match(text, start - 1)) or (
+            _JOINING_COMMA.match(text, end)
+        )
+        if not joined:
+            runs.append(text[start:end])
+        m = _MIXED.search(text, end)
+    return runs
+
+
+def _triggers_finder(triggers: set[str]) -> re.Pattern:
+    """One alternation of ``triggers``, grouped by first character and
+    longest first, so a match is the longest trigger at its position."""
+    by_first: dict[str, list[str]] = {}
+    for t in sorted(triggers, key=lambda t: (-len(t), t)):
+        by_first.setdefault(t[0], []).append(re.escape(t[1:]))
+    return re.compile("|".join(
+        re.escape(first) + (f"(?:{'|'.join(rests)})" if rests != [""] else "")
+        for first, rests in sorted(by_first.items())
+    ))
+
+
+def _present_triggers(
+    finder: re.Pattern, prefixes: dict[str, tuple[str, ...]], haystack: str
+) -> set[str]:
+    """The triggers ``haystack`` holds: at each position where one starts,
+    the longest there, found by ``finder``, and those that are prefixes of
+    it."""
+    present: set[str] = set()
+    m = finder.search(haystack)
+    while m is not None:
+        present.update(prefixes[m.group()])
+        m = finder.search(haystack, m.start() + 1)
+    return present
 
 
 _PRIORITY_INDEX = {t: i for i, t in enumerate(TYPE_PRIORITY)}
@@ -124,7 +188,7 @@ _REGION_TYPES = frozenset({
 def _candidate(scanner: tuple, m: re.Match) -> _Candidate | None:
     """What a scanner's match names, or None when its rule builds nothing
     from it."""
-    rule, _, roles, _, _ = scanner
+    rule, _, roles = scanner
     try:
         built = rule.build(m)
     except (ValueError, ParseFailure):
@@ -184,23 +248,25 @@ class Recognizer:
     def __init__(self, lexicon: frozenset[str] | None = None):
         self.lexicon = lexicon
         self._longest = max(map(len, lexicon or ()), default=0)
-        # Each scanner: its rule, the guarded regex, the component groups,
-        # whether the rule's triggers are sought in the folded text, and
-        # the character class body of the characters a match can begin
-        # with (\d standing for the non-ASCII decimal digits).
+        # Each scanner: its rule, the guarded regex, and the component
+        # groups.
         self._scanners: list[
             tuple[
-                GrammarRule,
-                re.Pattern,
-                tuple[tuple[ComponentRole, str], ...],
-                bool,
-                str,
+                GrammarRule, re.Pattern, tuple[tuple[ComponentRole, str], ...]
             ]
         ] = []
+        # Per scanner: its triggers, whether they are sought in the folded
+        # text, the character class bodies of its starts and of its seconds
+        # (\d and \s standing for the non-ASCII decimal digits and
+        # whitespace), and its expanded seconds.
+        self._gates: list[tuple[frozenset[str], bool, str, str, str]] = []
         # The scanners by start character, and those a non-ASCII decimal
         # digit may start.
         self._by_start: dict[str, tuple[int, ...]] = {}
         self._by_digit: tuple[int, ...] = ()
+        # The triggers sought in the raw text and in the folded text.
+        raw: set[str] = set()
+        folded: set[str] = set()
         for rule in GRAMMAR_RULES:
             if not rule.scan:
                 continue
@@ -213,56 +279,92 @@ class Recognizer:
             )
             folds = bool(rule.flags & re.IGNORECASE)
             k = len(self._scanners)
-            starts = _expanded_starts(rule)
-            for ch in dict.fromkeys(starts):
+            starts = _expanded(rule.starts, rule.flags)
+            for ch in starts:
                 self._by_start[ch] = self._by_start.get(ch, ()) + (k,)
-            chars = re.escape(starts)
+            first = re.escape(starts)
             if not _ASCII_DIGITS.isdisjoint(starts):
                 self._by_digit += (k,)
-                chars += r"\d"
-            self._scanners.append((rule, rx, roles, folds, chars))
+                first += r"\d"
+            seconds = _expanded(rule.seconds, rule.flags)
+            second = re.escape(seconds)
+            if "0" in seconds:
+                second += r"\d"
+            if " " in seconds:
+                second += r"\s"
+            self._scanners.append((rule, rx, roles))
+            self._gates.append(
+                (frozenset(rule.triggers), folds, first, second, seconds)
+            )
+            (folded if folds else raw).update(rule.triggers)
+        # Per kind of text, its triggers' finder and the triggers that are
+        # prefixes of each.
+        self._trigger_finders = tuple(
+            (
+                _triggers_finder(triggers),
+                {
+                    t: tuple(p for p in triggers if t.startswith(p))
+                    for t in triggers
+                },
+            )
+            for triggers in (raw, folded)
+        )
 
     # -- candidate generation ----------------------------------------------
 
     def _rule_candidates(
         self, text: str, types: frozenset[MentionType] | None
     ) -> list[_Candidate]:
-        folded: str | None = None
-        # Whether a trigger set occurs; several rules share one set.
-        present: dict[tuple[bool, tuple[str, ...]], bool] = {}
+        # The triggers the text holds, and those its fold holds.
+        in_text, in_folded = (
+            _present_triggers(finder, prefixes, haystack)
+            for (finder, prefixes), haystack in zip(
+                self._trigger_finders, (text, fold(text))
+            )
+        )
         scanners = self._scanners
-        active = [False] * len(scanners)
-        union: list[str] = []
-        for k, (rule, _, _, folds, chars) in enumerate(scanners):
-            if types is not None and rule.mtype not in types:
+        # Per scanner, the second characters it takes here; none when it is
+        # not in play.
+        allowed = [""] * len(scanners)
+        firsts: list[str] = []
+        seconds: list[str] = []
+        for k, (triggers, folds, first_class, second_class, expanded) in (
+            enumerate(self._gates)
+        ):
+            if types is not None and scanners[k][0].mtype not in types:
                 continue
-            if rule.triggers:
-                key = (folds, rule.triggers)
-                hit = present.get(key)
-                if hit is None:
-                    if folds and folded is None:
-                        folded = fold(text)
-                    haystack = folded if folds else text
-                    hit = any(t in haystack for t in rule.triggers)
-                    present[key] = hit
-                if not hit:
-                    continue
-            active[k] = True
-            union.append(chars)
-        if not union:
+            if triggers and triggers.isdisjoint(
+                in_folded if folds else in_text
+            ):
+                continue
+            allowed[k] = expanded
+            firsts.append(first_class)
+            seconds.append(second_class)
+        if not firsts:
             return []
-        # One pass over the word starts of the active scanners.  At each, a
+        # One pass over the word starts of the scanners in play.  At each, a
         # scanner is tried unless its previous match covers it, which gives
         # what its finditer would.  re.compile's cache keeps the finder of
-        # each set of active scanners.
-        finder = re.compile(f"{_GUARD_BEFORE}[{''.join(union)}]")
+        # each set of scanners in play.
+        finder = re.compile(
+            f"{_GUARD_BEFORE}[{''.join(firsts)}](?=[{''.join(seconds)}])"
+        )
         by_start, by_digit = self._by_start, self._by_digit
         ends = [0] * len(scanners)
         found: list[list[_Candidate]] = [[] for _ in scanners]
         for w in finder.finditer(text):
             s = w.start()
+            second = text[s + 1]
+            if second > "\x7f":
+                # A non-ASCII digit counts as 0, which only a rule whose
+                # second character can be any digit lists; whitespace
+                # counts as the space.
+                if second.isdecimal():
+                    second = "0"
+                elif second.isspace():
+                    second = " "
             for k in by_start.get(w.group(), by_digit):
-                if active[k] and s >= ends[k]:
+                if second in allowed[k] and s >= ends[k]:
                     m = scanners[k][1].match(text, s)
                     if m is not None:
                         ends[k] = m.end()
@@ -371,22 +473,28 @@ class Recognizer:
         self, text: str, doc_id: str = ""
     ) -> tuple[list[Mention], list[GeneMention]]:
         """Variant mentions and gene mentions of one text, in one pass."""
-        candidates, gene_spans = self._candidates(text)
-        table = byte_offsets(text)
-        return (
-            self._finalize(text, doc_id, candidates, table),
-            _gene_mentions(gene_spans, table),
-        )
+        return self._scan(text, doc_id, self._rule_candidates(text, None))[:2]
 
     def _scan_document(
         self, text: str, doc_id: str
     ) -> tuple[list[Mention], list[GeneMention], list[int] | None]:
         """``scan_document`` and the text's ``byte_offsets`` table.  A text
         without a mention gives ``([], [], None)``: the pipeline needs
-        neither its genes nor its table, so neither is built."""
-        candidates, gene_spans = self._candidates(text)
-        if not candidates:
+        neither its genes nor its table, so neither is built.  Nor is the
+        lexicon pass made over a text without a rule candidate, unless one
+        of its runs splits into a gene and a variant."""
+        candidates = self._rule_candidates(text, None)
+        if not candidates and not self._splits_a_run(text):
             return [], [], None
+        return self._scan(text, doc_id, candidates)
+
+    def _scan(
+        self, text: str, doc_id: str, candidates: list[_Candidate]
+    ) -> tuple[list[Mention], list[GeneMention], list[int] | None]:
+        """The mentions of the rule ``candidates`` and the lexicon pass's
+        fused ones, the genes, and the text's ``byte_offsets`` table."""
+        gene_spans, fused = self._token_hits(text)
+        candidates.extend(fused)
         table = byte_offsets(text)
         return (
             self._finalize(text, doc_id, candidates, table),
@@ -394,15 +502,15 @@ class Recognizer:
             table,
         )
 
-    def _candidates(
-        self, text: str
-    ) -> tuple[list[_Candidate], list[tuple[str, int, int]]]:
-        """Every rule and fused-token candidate, and the gene spans, in
-        character coordinates."""
-        gene_spans, fused = self._token_hits(text)
-        candidates = self._rule_candidates(text, None)
-        candidates.extend(fused)
-        return candidates, gene_spans
+    def _splits_a_run(self, text: str) -> bool:
+        """Whether the lexicon pass would find a fused candidate in
+        ``text``: a run it splits is a letter+digit run, not a symbol."""
+        lexicon = self.lexicon
+        return bool(lexicon) and any(
+            run not in lexicon
+            and _split_fused(run, lexicon, self._longest) is not None
+            for run in _letter_digit_runs(text)
+        )
 
     def recognize(self, text: str, doc_id: str = "") -> list[Mention]:
         """All variant mentions in ``text``, sorted, non-overlapping."""

@@ -135,6 +135,7 @@ def test_header_must_match(tmp_path):
     ("rs01\tCA1\tBRAF\tc.1A>T\t\tA\tT", "rsid"),
     ("rs1\u0662\tCA1\tBRAF\tc.1A>T\t\tA\tT", "rsid"),  # Arabic-Indic 2
     ("rs1\tCB1\tBRAF\tc.1A>T\t\tA\tT", "ca_id"),
+    ("rs1\tCA\u0661\u0662\tBRAF\tc.1A>T\t\tA\tT", "ca_id"),  # Arabic-Indic 12
     ("rs1\tCA1\t\tc.1A>T\t\tA\tT", "gene"),
     ("rs1\tCA1\tBR AF\tc.1A>T\t\tA\tT", "gene"),
     ("\t\tBRAF\tc.1A>T\t\tA\tT", "rsid"),
@@ -148,6 +149,16 @@ def test_bad_rows_name_the_offending_column(tmp_path, row, column):
         load_kb(write_kb(tmp_path, [row]))
     assert err.value.column == column
     assert err.value.line_no == 2
+
+
+def test_ca_ids_take_ascii_digits_only(tmp_path):
+    good = "rs113488022\tCA123643\tBRAF\tc.1799T>A\tp.V600E\tT\tA"
+    kb = load_kb(write_kb(tmp_path, [good]))
+    assert [r.ca_id for r in kb.lookup_rsid("rs113488022")] == ["CA123643"]
+    bad = "rs2\tCA\u0661\u0662\tKRAS\tc.35G>A\t\tG\tA"
+    with pytest.raises(MalformedRow) as err:
+        load_kb(write_kb(tmp_path, [good, bad]))
+    assert (err.value.line_no, err.value.column) == (3, "ca_id")
 
 
 def test_rsid_longer_than_int_reads_loads_and_sorts_last(tmp_path):

@@ -22,11 +22,14 @@ from varlex import (
 )
 from varlex.hgvs import GRAMMAR_RULES, fold
 from varlex.recognizer import (
+    _ALNUM_RUN,
     _ASCII_DIGITS,
     _NL_TYPES,
     _REGION_TYPES,
     _Candidate,
-    _expanded_starts,
+    _expanded,
+    _letter_digit_runs,
+    _present_triggers,
 )
 
 from oracles import arbitrate, rule_candidates_oracle, scan_every_rule
@@ -397,7 +400,7 @@ _SCANNED_RULES = [r for r in GRAMMAR_RULES if r.scan]
 def test_every_scan_match_begins_with_a_start(rule, data):
     pattern = re.compile(rule.scan_pattern or rule.pattern, rule.flags)
     surface = data.draw(st.from_regex(pattern, fullmatch=True))
-    first, starts = surface[0], _expanded_starts(rule)
+    first, starts = surface[0], _expanded(rule.starts, rule.flags)
     # \d also matches non-ASCII decimal digits, and the recognizer tries a
     # rule with an ASCII digit start at those too.
     digit = first.isdecimal() and not _ASCII_DIGITS.isdisjoint(starts)
@@ -414,7 +417,119 @@ def test_expanded_starts_are_every_ignorecase_spelling():
         assert rule.starts == rule.starts.lower(), rule.name
         declared = re.compile("[%s]" % re.escape(rule.starts), re.IGNORECASE)
         spellings = set(declared.findall(every))
-        assert spellings == set(_expanded_starts(rule)), rule.name
+        assert spellings == set(_expanded(rule.starts, rule.flags)), rule.name
+
+
+@pytest.mark.parametrize("rule", _SCANNED_RULES, ids=lambda r: r.name)
+@given(data=st.data())
+@settings(deadline=None)
+def test_every_scan_match_has_a_second_from_its_seconds(rule, data):
+    pattern = re.compile(rule.scan_pattern or rule.pattern, rule.flags)
+    surface = data.draw(st.from_regex(pattern, fullmatch=True))
+    assert len(surface) >= 2, (rule.name, surface)
+    second, seconds = surface[1], _expanded(rule.seconds, rule.flags)
+    # \d and \s also match non-ASCII digits and whitespace, and the
+    # recognizer tries a rule whose seconds hold 0 or the space at those.
+    fallback = not second.isascii() and (
+        (second.isdecimal() and "0" in seconds)
+        or (second.isspace() and " " in seconds)
+    )
+    assert second in seconds or fallback, (rule.name, surface)
+
+
+def test_expanded_seconds_are_every_spelling():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    for rule in _SCANNED_RULES:
+        assert rule.seconds, rule.name
+        if rule.flags & re.IGNORECASE:
+            assert rule.seconds == rule.seconds.lower(), rule.name
+        declared = re.compile("[%s]" % re.escape(rule.seconds), rule.flags)
+        spellings = set(declared.findall(every))
+        assert spellings == set(_expanded(rule.seconds, rule.flags)), rule.name
+
+
+# Trigger literals, texts where they overlap or nest ("Thr." holds "Thr"
+# and "r.", "isoleucine" holds "leucine", "-->" holds ">"), upper-case
+# spellings, and the four characters that fold to ASCII letters.
+_TRIGGER_PIECES = sorted({
+    t for rule in _SCANNED_RULES for t in rule.triggers
+}) + [
+    "Thr.", "rs.", "chromosome", "chr", "CHR", "Chromosome", "deletion",
+    "del", "DEL", "-->", "isoleucine", "phenylalanine", "NM_", "p.V",
+    "İ", "ı", "ſ", "\u212a", "İsoleucine", "ſerine", "\u212aIT", "β", "x",
+]
+
+
+@given(st.lists(st.tuples(st.sampled_from(_TRIGGER_PIECES),
+                          st.sampled_from(["", "", " ", ".", "s"])),
+                max_size=10))
+@settings(max_examples=300, deadline=None)
+def test_trigger_gate_finds_exactly_the_triggers_present(recognizer, pieces):
+    text = "".join(piece + sep for piece, sep in pieces)
+    kinds = list(zip(recognizer._trigger_finders, (text, fold(text))))
+    for (finder, prefixes), haystack in kinds:
+        want = {t for t in prefixes if t in haystack}
+        assert _present_triggers(finder, prefixes, haystack) == want
+    # The two kinds together hold every trigger of every scanned rule.
+    folding = {
+        t for r in _SCANNED_RULES if r.flags & re.IGNORECASE for t in r.triggers
+    }
+    raw = {t for r in _SCANNED_RULES if not r.flags & re.IGNORECASE
+           for t in r.triggers}
+    assert [set(p) for _, p in recognizer._trigger_finders] == [raw, folding]
+
+
+def _alnum_letter_digit_runs(text):
+    return [
+        run for run in _ALNUM_RUN.findall(text)
+        if run.isalnum() and not run.isalpha() and not run.isdigit()
+    ]
+
+
+@pytest.mark.parametrize("text,runs", [
+    ("1,2A3", []),
+    ("A1,2", []),
+    ("A1, 2B", ["A1", "2B"]),
+    ("x,1B", ["1B"]),
+    ("BRAFV600E and 3,18 or TP53", ["BRAFV600E", "TP53"]),
+    ("éA1 Б2b ٣C a١", ["A1", "2b"]),
+])
+def test_letter_digit_runs_examples(text, runs):
+    assert _letter_digit_runs(text) == runs == _alnum_letter_digit_runs(text)
+
+
+@given(st.text(alphabet="aZ09,,  .é٣Б_-", max_size=40))
+@settings(max_examples=500, deadline=None)
+def test_letter_digit_runs_are_the_mixed_alnum_runs(text):
+    assert _letter_digit_runs(text) == _alnum_letter_digit_runs(text)
+
+
+# Gene symbols (with and without digits), fused tokens that split and that
+# do not, and digit-grouping commas; none is a rule candidate.
+_GENE_PIECES = [
+    "BRAF", "TP53", "TRPV4", "IL17F", "BRAFV600E", "KRASG12D", "TP53R175H",
+    "BRAFX1", "braf", "X12Y", "1,2", "BRAF1,2", "é", "٣", "the",
+]
+
+
+@given(st.lists(st.tuples(st.sampled_from(_GENE_PIECES),
+                          st.sampled_from(["", " ", ", "])),
+                max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_texts_without_a_rule_candidate_keep_every_gene(
+    recognizer, lexicon, pieces
+):
+    text = "".join(piece + sep for piece, sep in pieces)
+    if recognizer._rule_candidates(text, None):
+        return
+    mentions, genes = scan_every_rule(text, lexicon)
+    assert recognizer.scan_document(text) == (mentions, genes)
+    assert recognizer.find_gene_mentions(text) == genes
+    scanned = recognizer._scan_document(text, "")
+    if mentions:
+        assert scanned[:2] == (mentions, genes)
+    else:
+        assert scanned == ([], [], None)
 
 
 # Surfaces of every scanned rule, the four characters that fold to ASCII
@@ -465,6 +580,12 @@ _EDGE_CASES = {
     ],
     "٣ base pair deletion": [(MT.OTHER_MUTATION, "٣ base pair deletion")],
     "a ١٢-bp insertion": [(MT.OTHER_MUTATION, "١٢-bp insertion")],
+    # A non-ASCII digit or space as the second character.
+    "1٢A": [(MT.DNA_ALLELE, "1٢A")],
+    "A\u2003>\u2003T": [
+        (MT.DNA_CHANGE, "A\u2003>\u2003T"),
+        (MT.PROTEIN_CHANGE, "A\u2003>\u2003T"),
+    ],
 }
 _TYPE_SETS = {"all": None, "nl": _NL_TYPES, "region": _REGION_TYPES}
 

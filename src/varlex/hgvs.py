@@ -499,15 +499,12 @@ class GrammarRule:
     ``seconds`` those its second character can be, so the recognizer tries
     the rule only at word starts holding one of the first followed by one
     of the second.  Every scan match is at least two characters long.  Both
-    are declared the way ``triggers`` are: exact case for a case-sensitive
-    rule, lower case for an ``re.IGNORECASE`` one, whose other spellings
-    the recognizer adds.  A rule that can begin with a digit lists the
-    ASCII digits it takes; the recognizer also tries it at every other
-    decimal digit, since ``\\d`` matches those too.  Likewise a rule whose
-    second character can be any digit (``\\d``) lists all ten ASCII digits,
-    and one whose second character can be whitespace (``\\s``) lists the
-    ASCII whitespace; the recognizer also takes every other decimal digit,
-    and every other whitespace character, there.
+    must be complete, since the recognizer tries the rule at no other
+    characters.  They are declared the way ``triggers`` are: exact case for
+    a case-sensitive rule, lower case for an ``re.IGNORECASE`` one, whose
+    other spellings the recognizer adds.  Digits in a pattern are ASCII
+    (``[0-9]``), and a second character that can be whitespace (``\\s``)
+    is declared as :data:`_SPACES`, every character ``\\s`` matches.
     """
 
     name: str
@@ -543,7 +540,7 @@ _PROTEIN_TYPES = frozenset({
     MentionType.PROTEIN_CHANGE,
 })
 
-_POS = r"[1-9]\d*"
+_POS = r"[1-9][0-9]*"
 _NUC = "[%s]" % _NUC_LETTERS
 # The sequence levels a DNA rule's prefix ("c.") may name.
 _DNA_LEVELS = "cgmr"
@@ -567,8 +564,9 @@ _NUM_WORD = "(?:%s)" % "|".join(
 )
 _ARROWS = ("-->", "->", "→", ">")
 _ARROW_SEP = r"\s?(?:%s)\s?" % "|".join(_ARROWS)
-_CHROM = r"(?:[1-9]\d?|[XY]|MT?)"
-_COORD = r"\d(?:[\d,]*\d)?"
+_CHROM = r"(?:[1-9][0-9]?|[XY]|MT?)"
+_COORD = r"[0-9](?:[0-9,]*[0-9])?"
+_BAND = r"[0-9]+(?:\.[0-9]+)?"
 _CHR_WORD = r"[Cc]hr(?:omosome)?\.?\s*"
 _UNIT = r"nucleotides?|base[ \-]?pairs?|bp|amino[ \-]?acids?|codons?"
 
@@ -662,8 +660,8 @@ _ARROW_TRIGGERS = (">", "→")
 # prefix.
 _DIGITS = "0123456789"
 _POS_STARTS = _DIGITS[1:]
-# The ASCII characters \s matches.
-_SPACES = "".join(c for c in map(chr, range(128)) if c.isspace())
+# Every character \s matches: those str.isspace accepts, none above U+3000.
+_SPACES = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
 _LEVEL_POS_STARTS = _DNA_LEVELS + _POS_STARTS
 # After a level prefix's letter comes its dot; after a position's first
 # digit, another digit.
@@ -682,7 +680,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
     GrammarRule(
         "snp",
         MentionType.SNP,
-        r"[Rr][Ss](?P<digits>[1-9]\d*)",
+        r"[Rr][Ss](?P<digits>%s)" % _POS,
         triggers=("rs", "Rs", "rS", "RS"),
         starts="Rr",
         seconds="Ss",
@@ -690,7 +688,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
     GrammarRule(
         "refseq",
         MentionType.REFSEQ,
-        r"(?P<acc>(?:%s)_\d+(?:\.\d+)?)" % "|".join(_REFSEQ_PREFIXES),
+        r"(?P<acc>(?:%s)_[0-9]+(?:\.[0-9]+)?)" % "|".join(_REFSEQ_PREFIXES),
         triggers=tuple(prefix + "_" for prefix in _REFSEQ_PREFIXES),
         starts=_letters_at(_REFSEQ_PREFIXES, 0),
         seconds=_letters_at(_REFSEQ_PREFIXES, 1),
@@ -820,7 +818,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         r"(?P<wt>%s)(?P<pos>%s)" % (_AA1, _POS),
         # Bare one-letter alleles need two digits in running text; "T4"-style
         # shorthand is too noisy to claim.
-        scan_pattern=r"(?P<wt>%s)(?P<pos>[1-9]\d+)" % _AA1,
+        scan_pattern=r"(?P<wt>%s)(?P<pos>[1-9][0-9]+)" % _AA1,
         starts=_AA1_STARTS,
         seconds=_POS_STARTS,
     ),
@@ -863,7 +861,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
     GrammarRule(
         "size_words",
         MentionType.OTHER_MUTATION,
-        r"(?P<size>\d{1,9}|%s)[ \-](?:%s)[ \-](?P<ed>deletion|insertion|duplication)"
+        r"(?P<size>[0-9]{1,9}|%s)[ \-](?:%s)[ \-](?P<ed>deletion|insertion|duplication)"
         r"(?:\s+(?:starting\s+at|at)\s+position\s+(?P<pos>%s))?"
         % (_NUM_WORD, _UNIT, _POS),
         flags=re.IGNORECASE,
@@ -920,16 +918,16 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
     GrammarRule(
         "chromosome_band",
         MentionType.CHROMOSOME,
-        r"(?:%s)?(?P<chrom>[1-9]\d?|[XY])(?P<arm>[pq])(?P<band>\d+(?:\.\d+)?)"
-        % _CHR_WORD,
+        r"(?:%s)?(?P<chrom>[1-9][0-9]?|[XY])(?P<arm>[pq])(?P<band>%s)"
+        % (_CHR_WORD, _BAND),
         starts="Cc" + _POS_STARTS + "XY",
         seconds="h" + _DIGITS + "pq",
     ),
     GrammarRule(
         "chromosome_words",
         MentionType.CHROMOSOME,
-        r"chromosome\s+(?P<chrom>[1-9]\d?|[XYxy])\s+(?P<arm>[pq])\s*"
-        r"(?P<band>\d+(?:\.\d+)?)",
+        r"chromosome\s+(?P<chrom>[1-9][0-9]?|[XYxy])\s+(?P<arm>[pq])\s*"
+        r"(?P<band>%s)" % _BAND,
         flags=re.IGNORECASE,
         triggers=("chromosome",),
         starts="c",

@@ -42,10 +42,11 @@ from .hgvs import (
 )
 from .tokenizer import byte_offsets, to_byte_span
 
-# A mention must not sit flush against other letters or digits; "SNP" inside
-# "dbSNP2" is not a mention.  Punctuation and whitespace both count as edges.
-_GUARD_BEFORE = r"(?<![0-9A-Za-z])"
-_GUARD_AFTER = r"(?![0-9A-Za-z])"
+# A mention must not sit flush against an ASCII letter or a decimal digit
+# of any script; "SNP" inside "dbSNP2" is not a mention, nor "rs1" inside
+# "rs1٢".  Punctuation and whitespace both count as edges.
+_GUARD_BEFORE = r"(?<![A-Za-z\d])"
+_GUARD_AFTER = r"(?![A-Za-z\d])"
 
 # Alphanumeric runs.  A run absorbs a comma only when digits flank it on
 # both sides, so "3,18,33,000" is one run while "1,000, and" does not
@@ -103,14 +104,10 @@ class _Candidate:
     gene_hint: str | None = None
 
 
-_ASCII_DIGITS = frozenset("0123456789")
-
-
 def _expanded(chars: str, flags: int) -> str:
     """The characters a rule with ``flags`` declaring ``chars`` (its
     ``starts`` or its ``seconds``) takes there: ``chars`` and, for an
-    ``re.IGNORECASE`` rule, every other character matching one of them.
-    Non-ASCII decimal digits and whitespace are not listed."""
+    ``re.IGNORECASE`` rule, every other character matching one of them."""
     if flags & re.IGNORECASE:
         other = "".join(_OTHER_CASES.get(c, "") for c in chars)
         chars += chars.upper() + other
@@ -256,14 +253,11 @@ class Recognizer:
             ]
         ] = []
         # Per scanner: its triggers, whether they are sought in the folded
-        # text, the character class bodies of its starts and of its seconds
-        # (\d and \s standing for the non-ASCII decimal digits and
-        # whitespace), and its expanded seconds.
+        # text, the character class bodies of its expanded starts and
+        # seconds, and its expanded seconds.
         self._gates: list[tuple[frozenset[str], bool, str, str, str]] = []
-        # The scanners by start character, and those a non-ASCII decimal
-        # digit may start.
+        # The scanners by start character.
         self._by_start: dict[str, tuple[int, ...]] = {}
-        self._by_digit: tuple[int, ...] = ()
         # The triggers sought in the raw text and in the folded text.
         raw: set[str] = set()
         folded: set[str] = set()
@@ -282,20 +276,12 @@ class Recognizer:
             starts = _expanded(rule.starts, rule.flags)
             for ch in starts:
                 self._by_start[ch] = self._by_start.get(ch, ()) + (k,)
-            first = re.escape(starts)
-            if not _ASCII_DIGITS.isdisjoint(starts):
-                self._by_digit += (k,)
-                first += r"\d"
             seconds = _expanded(rule.seconds, rule.flags)
-            second = re.escape(seconds)
-            if "0" in seconds:
-                second += r"\d"
-            if " " in seconds:
-                second += r"\s"
             self._scanners.append((rule, rx, roles))
-            self._gates.append(
-                (frozenset(rule.triggers), folds, first, second, seconds)
-            )
+            self._gates.append((
+                frozenset(rule.triggers), folds,
+                re.escape(starts), re.escape(seconds), seconds,
+            ))
             (folded if folds else raw).update(rule.triggers)
         # Per kind of text, its triggers' finder and the triggers that are
         # prefixes of each.
@@ -344,26 +330,20 @@ class Recognizer:
             return []
         # One pass over the word starts of the scanners in play.  At each, a
         # scanner is tried unless its previous match covers it, which gives
-        # what its finditer would.  re.compile's cache keeps the finder of
-        # each set of scanners in play.
+        # what its finditer would.  The finder only prefilters, so it skips
+        # just the starts after an ASCII letter or digit, the cheaper test;
+        # each scanner's own guard decides the rest.  re.compile's cache
+        # keeps the finder of each set of scanners in play.
         finder = re.compile(
-            f"{_GUARD_BEFORE}[{''.join(firsts)}](?=[{''.join(seconds)}])"
+            f"(?<![0-9A-Za-z])[{''.join(firsts)}](?=[{''.join(seconds)}])"
         )
-        by_start, by_digit = self._by_start, self._by_digit
+        by_start = self._by_start
         ends = [0] * len(scanners)
         found: list[list[_Candidate]] = [[] for _ in scanners]
         for w in finder.finditer(text):
             s = w.start()
             second = text[s + 1]
-            if second > "\x7f":
-                # A non-ASCII digit counts as 0, which only a rule whose
-                # second character can be any digit lists; whitespace
-                # counts as the space.
-                if second.isdecimal():
-                    second = "0"
-                elif second.isspace():
-                    second = " "
-            for k in by_start.get(w.group(), by_digit):
+            for k in by_start[w.group()]:
                 if second in allowed[k] and s >= ends[k]:
                     m = scanners[k][1].match(text, s)
                     if m is not None:

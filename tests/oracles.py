@@ -98,8 +98,9 @@ def brute_force_lookup(
 # Recognition: every scanned rule over the whole text
 # ---------------------------------------------------------------------------
 
-_EDGE_BEFORE = r"(?<![0-9A-Za-z])"
-_EDGE_AFTER = r"(?![0-9A-Za-z])"
+# A mention touches no ASCII letter and no decimal digit of any script.
+_EDGE_BEFORE = r"(?<![A-Za-z\d])"
+_EDGE_AFTER = r"(?![A-Za-z\d])"
 _RUN = re.compile(r"[0-9A-Za-z]+(?:(?<=[0-9]),(?=[0-9])[0-9A-Za-z]+)*")
 
 

@@ -67,10 +67,13 @@ def test_parse_region_prints_coordinates(capsys):
     assert "end: 51028772" in out
 
 
-def test_parse_garbage_fails_with_code_1(capsys):
-    code, out, err = run(["parse", "not-a-variant"], capsys)
+@pytest.mark.parametrize("surface", ["not-a-variant", "c.1٢A>T"])
+def test_parse_garbage_fails_with_code_1(capsys, surface):
+    code, out, err = run(["parse", surface], capsys)
     assert code == 1
     assert "cannot parse" in err
+    assert err.startswith("varlex:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_annotate_writes_pubtator(corpus_file, kb_path, genes_path,

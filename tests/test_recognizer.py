@@ -2,8 +2,10 @@ import gc
 import random
 import re
 import statistics
+import string
 import sys
 import time
+import unicodedata
 import weakref
 
 import pytest
@@ -16,14 +18,15 @@ from varlex import (
     EditKind,
     GeneMention,
     MentionType,
+    ParseFailure,
     Recognizer,
     RegionKind,
+    classify_surface,
     split_gene_fused,
 )
-from varlex.hgvs import GRAMMAR_RULES, fold
+from varlex.hgvs import GRAMMAR_RULES, _SPACES, fold
 from varlex.recognizer import (
     _ALNUM_RUN,
-    _ASCII_DIGITS,
     _NL_TYPES,
     _REGION_TYPES,
     _Candidate,
@@ -400,11 +403,7 @@ _SCANNED_RULES = [r for r in GRAMMAR_RULES if r.scan]
 def test_every_scan_match_begins_with_a_start(rule, data):
     pattern = re.compile(rule.scan_pattern or rule.pattern, rule.flags)
     surface = data.draw(st.from_regex(pattern, fullmatch=True))
-    first, starts = surface[0], _expanded(rule.starts, rule.flags)
-    # \d also matches non-ASCII decimal digits, and the recognizer tries a
-    # rule with an ASCII digit start at those too.
-    digit = first.isdecimal() and not _ASCII_DIGITS.isdisjoint(starts)
-    assert first in starts or digit, (rule.name, surface)
+    assert surface[0] in _expanded(rule.starts, rule.flags), (rule.name, surface)
 
 
 def test_expanded_starts_are_every_ignorecase_spelling():
@@ -427,18 +426,13 @@ def test_every_scan_match_has_a_second_from_its_seconds(rule, data):
     pattern = re.compile(rule.scan_pattern or rule.pattern, rule.flags)
     surface = data.draw(st.from_regex(pattern, fullmatch=True))
     assert len(surface) >= 2, (rule.name, surface)
-    second, seconds = surface[1], _expanded(rule.seconds, rule.flags)
-    # \d and \s also match non-ASCII digits and whitespace, and the
-    # recognizer tries a rule whose seconds hold 0 or the space at those.
-    fallback = not second.isascii() and (
-        (second.isdecimal() and "0" in seconds)
-        or (second.isspace() and " " in seconds)
-    )
-    assert second in seconds or fallback, (rule.name, surface)
+    assert surface[1] in _expanded(rule.seconds, rule.flags), (rule.name, surface)
 
 
 def test_expanded_seconds_are_every_spelling():
     every = "".join(map(chr, range(sys.maxunicode + 1)))
+    # A \s second is declared as _SPACES, so it must be all \s matches.
+    assert set(re.findall(r"\s", every)) == set(_SPACES)
     for rule in _SCANNED_RULES:
         assert rule.seconds, rule.name
         if rule.flags & re.IGNORECASE:
@@ -563,7 +557,8 @@ def test_scan_matches_every_rule_oracle(recognizer, lexicon, pieces):
 # must yield: a match after a digit-grouping comma; a word start inside a
 # match, which finditer skips ("T>C" is not a candidate); a match starting
 # where another ends (under the guards, never where the same rule's last
-# match ends); fold characters and non-ASCII digits at word starts.
+# match ends); fold characters at word starts; non-ASCII digits, which no
+# rule reads and none of whose neighbours a mention may touch.
 _EDGE_CASES = {
     "1,234A": [(MT.DNA_ALLELE, "234A")],
     "A>T>C": [(MT.DNA_CHANGE, "A>T"), (MT.PROTEIN_CHANGE, "A>T")],
@@ -578,14 +573,18 @@ _EDGE_CASES = {
     "\u212aIT and ſerine to alanine": [
         (MT.PROTEIN_CHANGE, "ſerine to alanine"),
     ],
-    "٣ base pair deletion": [(MT.OTHER_MUTATION, "٣ base pair deletion")],
-    "a ١٢-bp insertion": [(MT.OTHER_MUTATION, "١٢-bp insertion")],
+    "٣ base pair deletion": [],
+    "a ١٢-bp insertion": [],
     # A non-ASCII digit or space as the second character.
-    "1٢A": [(MT.DNA_ALLELE, "1٢A")],
+    "1٢A": [],
     "A\u2003>\u2003T": [
         (MT.DNA_CHANGE, "A\u2003>\u2003T"),
         (MT.PROTEIN_CHANGE, "A\u2003>\u2003T"),
     ],
+    "rs1٢ rs12": [(MT.SNP, "rs12")],
+    "٢V600E": [],
+    "V600E٢": [],
+    "c.1٢A>T and V600E": [(MT.PROTEIN_MUTATION, "V600E")],
 }
 _TYPE_SETS = {"all": None, "nl": _NL_TYPES, "region": _REGION_TYPES}
 
@@ -621,6 +620,56 @@ def test_rule_candidates_match_the_oracle_in_order(recognizer, types, pieces):
     text = "".join(piece + sep for piece, sep in pieces)
     want = rule_candidates_oracle(text, types)
     assert _candidate_tuples(recognizer, text, types) == want
+
+
+def _non_ascii(categories):
+    return [
+        c for c in map(chr, range(128, sys.maxunicode + 1))
+        if unicodedata.category(c) in categories
+    ]
+
+
+# Decimal digits of other scripts, by value, and non-ASCII space, line and
+# paragraph separators, read from the Unicode database, not the grammar.
+_OTHER_DIGITS = _non_ascii({"Nd"})
+_OTHER_DIGITS_BY_VALUE = {
+    v: [d for d in _OTHER_DIGITS if unicodedata.digit(d) == v]
+    for v in range(10)
+}
+_OTHER_SPACES = _non_ascii({"Zs", "Zl", "Zp"})
+_DIGIT_PIECES = _PIECES + ["rs1", "c.1", "V6", "00E", "12", "7q", "A", ">T"]
+_SURFACES_WITH_DIGITS = [
+    p for p in _PIECES if any(c in string.digits for c in p)
+]
+
+
+@given(
+    pieces=st.lists(st.tuples(
+        st.sampled_from(_DIGIT_PIECES) | st.sampled_from(_OTHER_DIGITS),
+        st.sampled_from(["", " ", ";"])
+        | st.sampled_from(_OTHER_SPACES)
+        | st.sampled_from(_OTHER_DIGITS),
+    ), max_size=10),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_no_mention_reads_or_touches_a_non_ascii_digit(pieces, data):
+    text = "".join(piece + sep for piece, sep in pieces)
+    raw = text.encode("utf-8")
+    for m in Recognizer().recognize(text):
+        before = raw[:m.start].decode("utf-8")[-1:]
+        after = raw[m.end:].decode("utf-8")[:1]
+        for c in (*m.text, before, after):
+            assert c not in _OTHER_DIGITS, (text, m.text)
+    # A grammar surface with one ASCII digit swapped for an equal digit of
+    # another script parses under no rule.
+    surface = data.draw(st.sampled_from(_SURFACES_WITH_DIGITS))
+    i = data.draw(st.sampled_from(
+        [i for i, c in enumerate(surface) if c in string.digits]
+    ))
+    other = data.draw(st.sampled_from(_OTHER_DIGITS_BY_VALUE[int(surface[i])]))
+    with pytest.raises(ParseFailure):
+        classify_surface(surface[:i] + other + surface[i + 1:])
 
 
 # Crowded candidate lists: short texts so spans nest and overlap, a few

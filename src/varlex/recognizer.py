@@ -50,7 +50,9 @@ _GUARD_AFTER = r"(?![A-Za-z\d])"
 
 # Alphanumeric runs.  A run absorbs a comma only when digits flank it on
 # both sides, so "3,18,33,000" is one run while "1,000, and" does not
-# swallow the second comma.
+# swallow the second comma.  As a mention may not, a run may not touch a
+# decimal digit of another script: "BRAF" in "BRAF٢" is no gene, nor is
+# "BRAFV600E٢" split (see _touches_a_digit).
 _ALNUM_RUN = re.compile(r"[0-9A-Za-z]+(?:(?<=[0-9]),(?=[0-9])[0-9A-Za-z]+)*")
 # A digit beside a letter, which every letter+digit run holds; the rest
 # of its run; and a comma that joins two runs.
@@ -58,6 +60,12 @@ _MIXED = re.compile(r"[0-9](?:(?<=[A-Za-z][0-9])|(?=[A-Za-z]))")
 _ALNUM_TAIL = re.compile(r"[0-9A-Za-z]*")
 _JOINING_COMMA = re.compile(r"(?<=[0-9]),(?=[0-9])")
 _ASCII_ALNUM = frozenset(string.ascii_letters + string.digits)
+
+
+def _touches_a_digit(text: str, start: int, end: int) -> bool:
+    """Whether the run ``text[start:end]`` sits against a decimal digit,
+    which, as the run takes in every ASCII one, is of another script."""
+    return text[start - 1:start].isdecimal() or text[end:end + 1].isdecimal()
 
 
 @dataclass
@@ -115,8 +123,8 @@ def _expanded(chars: str, flags: int) -> str:
 
 
 def _letter_digit_runs(text: str) -> list[str]:
-    """The runs of ``_ALNUM_RUN`` that hold a letter and a digit and no
-    comma: the only ones that can hide a fused gene.
+    """The runs of ``_ALNUM_RUN`` that hold a letter and a digit, no comma,
+    and touch no digit: the only ones that can hide a fused gene.
 
     The search skips to digits, which prose holds few of, and reads each
     run out from there; one regex that tries every word start took three
@@ -132,7 +140,7 @@ def _letter_digit_runs(text: str) -> list[str]:
         joined = (start and _JOINING_COMMA.match(text, start - 1)) or (
             _JOINING_COMMA.match(text, end)
         )
-        if not joined:
+        if not joined and not _touches_a_digit(text, start, end):
             runs.append(text[start:end])
         m = _MIXED.search(text, end)
     return runs
@@ -364,14 +372,20 @@ class Recognizer:
         fused: list[_Candidate] = []
         if not self.lexicon:
             return genes, fused
+        # Only a text with a non-ASCII character can hold another script's
+        # digit, and str.isascii costs nothing.
+        plain = text.isascii()
         for m in _ALNUM_RUN.finditer(text):
             run = m.group()
             if run in self.lexicon:
-                genes.append((run, m.start(), m.end()))
+                if plain or not _touches_a_digit(text, *m.span()):
+                    genes.append((run, m.start(), m.end()))
                 continue
             # Only letter+digit runs can hide a fused gene; comma-bearing
             # runs are numeric and fail isalnum.
             if run.isalpha() or run.isdigit() or not run.isalnum():
+                continue
+            if not plain and _touches_a_digit(text, *m.span()):
                 continue
             split = _split_fused(run, self.lexicon, self._longest)
             if split is None:

@@ -53,6 +53,29 @@ def read_raw_rows(path: str) -> list[dict]:
     return rows
 
 
+def kb_row_verdict(cols: list[str]):
+    """The column a KB row's cells are refused for, or the seven fields of
+    its record: each check as its own plain predicate, in the loader's
+    order."""
+    if len(cols) != 7:
+        return "columns"
+    rsid, ca_id, gene, dna, prot, ref, alt = (c.strip() for c in cols)
+    if rsid and re.fullmatch(r"rs[1-9][0-9]*", rsid) is None:
+        return "rsid"
+    if ca_id and re.fullmatch(r"CA[0-9]+", ca_id) is None:
+        return "ca_id"
+    if not gene or any(ch.isspace() for ch in gene):
+        return "gene"
+    if not rsid and not ca_id:
+        return "rsid"
+    if not dna and not prot:
+        return "dna_hgvs"
+    for column, allele in (("ref", ref), ("alt", alt)):
+        if not set(allele) <= set("ACGTU"):
+            return column
+    return (rsid, ca_id, gene, dna, prot, ref, alt)
+
+
 _PREFIX_RX = re.compile(r"p\.[A-Z]\d+")
 
 
@@ -101,7 +124,18 @@ def brute_force_lookup(
 # A mention touches no ASCII letter and no decimal digit of any script.
 _EDGE_BEFORE = r"(?<![A-Za-z\d])"
 _EDGE_AFTER = r"(?![A-Za-z\d])"
-_RUN = re.compile(r"[0-9A-Za-z]+(?:(?<=[0-9]),(?=[0-9])[0-9A-Za-z]+)*")
+# Stretches of ASCII letters and decimal digits of any script, with the
+# commas that ASCII digits flank on both sides.
+_RUN = re.compile(r"[A-Za-z\d]+(?:(?<=[0-9]),(?=[0-9])[A-Za-z\d]+)*")
+
+
+def lexicon_runs(text: str) -> list[tuple[str, int, int]]:
+    """The runs the lexicon pass reads, with their spans: a stretch that
+    holds a digit of another script is none."""
+    return [
+        (m.group(), m.start(), m.end())
+        for m in _RUN.finditer(text) if m.group().isascii()
+    ]
 
 
 def rule_candidates_oracle(text: str, types=None) -> list[tuple]:
@@ -149,15 +183,15 @@ def scan_every_rule(
         for start, end, mtype, built, components in rule_candidates_oracle(text)
     ]
     genes = []
-    for m in _RUN.finditer(text) if lexicon else ():
-        if m.group() in lexicon:
-            genes.append((m.group(), m.start(), m.end()))
+    for run, start, end in lexicon_runs(text) if lexicon else ():
+        if run in lexicon:
+            genes.append((run, start, end))
             continue
-        split = split_gene_fused(m.group(), lexicon)
+        split = split_gene_fused(run, lexicon)
         if split is not None:
             gene, descriptor, cut = split
-            genes.append((gene, m.start(), m.start() + cut))
-            candidates.append((m.start() + cut, m.end(),
+            genes.append((gene, start, start + cut))
+            candidates.append((start + cut, end,
                                classify_descriptor(descriptor), descriptor, {}, gene))
 
     mentions = []

@@ -1,8 +1,13 @@
+import dataclasses
+import gc
 import io
+import pickle
 import random
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from varlex import (
     DuplicateKey,
@@ -202,6 +207,142 @@ def test_load_peak_stays_near_what_stays_live(tmp_path):
         tracemalloc.stop()
     assert len(kb) == 5000
     assert peak - before <= 1.2 * (live - before)
+
+
+@pytest.fixture()
+def gc_state():
+    """Sets the collector on or off for a test and restores it after."""
+    enabled = gc.isenabled()
+    yield lambda on: gc.enable() if on else gc.disable()
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+_GOOD_ROW = "rs1\tCA1\tBRAF\tc.1A>T\t\tA\tT"
+_LOADS = {
+    "loads": ([_GOOD_ROW], None),
+    "malformed": ([_GOOD_ROW, "rs2\tCA2\tBR AF\tc.2A>T\t\tA\tT",
+                   "rs3\tCA3\tKRAS\tc.3A>T\t\tA\tT"], MalformedRow),
+    "duplicate": ([_GOOD_ROW, "rs2\t\tBRAF\tc.1A>T\t\tA\tT"], DuplicateKey),
+    "unreadable": (None, FileUnreadable),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+@pytest.mark.parametrize("case", _LOADS)
+def test_load_leaves_the_collector_as_it_found_it(
+    tmp_path, gc_state, enabled, case
+):
+    rows, error = _LOADS[case]
+    path = write_kb(tmp_path, rows) if rows else str(tmp_path / "absent.tsv")
+    gc_state(enabled)
+    if error is None:
+        assert len(load_kb(path)) == 1
+    else:
+        with pytest.raises(error):
+            load_kb(path)
+    assert gc.isenabled() is enabled
+
+
+_FIELDS = ("rs1", "CA1", "BRAF", "c.1A>T", "p.K1N", "A", "T")
+
+
+def test_record_is_a_frozen_value_without_a_dict():
+    rec = VariantRecord(*_FIELDS)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.gene = "KRAS"
+    assert not hasattr(rec, "__dict__")
+    twin = VariantRecord(*_FIELDS)
+    assert rec == twin and hash(rec) == hash(twin) == hash(_FIELDS)
+    assert dataclasses.astuple(rec) == _FIELDS
+    assert rec != VariantRecord("rs2", *_FIELDS[1:])
+    assert len({rec, twin, VariantRecord("", *_FIELDS[1:])}) == 2
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(rec, protocol))
+        assert type(back) is VariantRecord
+        assert back == rec and hash(back) == hash(rec)
+        assert back.sort_key() == rec.sort_key()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            back.gene = "KRAS"
+
+
+def test_rows_of_one_gene_share_one_gene_string(tmp_path):
+    rows = [
+        "rs1\tCA1\tBRAF\tc.1A>T\t\tA\tT",
+        "rs2\tCA2\t BRAF\tc.2A>T\t\tA\tT",
+        "rs3\tCA3\tKRAS\tc.3A>T\t\tA\tT",
+    ]
+    first, second, third = load_kb(write_kb(tmp_path, rows)).records
+    assert first.gene == second.gene == "BRAF"
+    assert first.gene is second.gene
+    assert third.gene == "KRAS"
+
+
+# Row cells: good and bad column words, padded with ASCII and non-ASCII
+# whitespace (tab and line ends aside), or a few of them run together,
+# which also gives empty cells and whitespace inside a word.
+_SPACES = [" ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+           "\u00a0", "\u2028", "\u3000"]
+_PAD = st.lists(st.sampled_from(_SPACES), max_size=2).map("".join)
+
+
+def _cell(good, bad):
+    words = st.sampled_from(good * 3 + bad)
+    mixed = st.lists(st.sampled_from(_SPACES + good + bad), max_size=3)
+    word = st.integers(0, 4).flatmap(
+        lambda k: mixed.map("".join) if k == 4 else words
+    )
+    return st.tuples(_PAD, word, _PAD).map("".join)
+
+
+_ALLELES = ["", "A", "C", "G", "T", "U", "TU", "ACGTU"]
+_CELLS = (
+    _cell(["rs1", "rs12", ""], ["rs01", "Rs1", "rs\u0661", "x"]),
+    _cell(["CA1", "CA12", ""], ["ca1", "CA\u0662", "C"]),
+    _cell(["BRAF", "TP53", "braf", "X-1", "\u00e9"],
+          ["\u00a0"] + ["BR" + space + "AF" for space in _SPACES]),
+    _cell(["c.1A>T", "c.2del", ""], ["c. 1A>T"]),
+    _cell(["p.V600E", "p.K1N", ""], ["p.K1 N"]),
+    _cell(_ALLELES, ["a", "t", "N", "\u0410", "A T"]),
+    _cell(_ALLELES, ["g", "u", "R", "Z", "C\u2028G"]),
+)
+
+
+@st.composite
+def _row(draw):
+    cells = [draw(cell) for cell in _CELLS]
+    change = draw(st.sampled_from([0] * 8 + [-1, 1]))
+    return cells[:change] if change < 0 else cells + ["A"] * change
+
+
+@given(st.lists(_row(), min_size=1, max_size=4))
+@settings(max_examples=400, deadline=None)
+def test_row_checks_agree_with_the_plain_predicates(rows):
+    lines = ["\t".join(cells) for cells in rows]
+    want, keys = [], {}
+    for line_no, (line, cells) in enumerate(zip(lines, rows), start=2):
+        if not line.strip():
+            continue
+        verdict = oracles.kb_row_verdict(cells)
+        if isinstance(verdict, str):
+            want = (line_no, verdict)
+            break
+        rsid, _, gene, dna, prot = verdict[:5]
+        for hgvs in (dna, prot):
+            if hgvs and rsid:
+                # Conflicting keys are another check's business.
+                assume(keys.setdefault((gene, hgvs), rsid) == rsid)
+        want.append(verdict)
+    source = io.StringIO("\n".join([HEADER, *lines]) + "\n")
+    if isinstance(want, tuple):
+        with pytest.raises(MalformedRow) as err:
+            load_kb(source)
+        assert (err.value.line_no, err.value.column) == want
+    else:
+        records = load_kb(source).records
+        assert [dataclasses.astuple(r) for r in records] == want
 
 
 def test_repeated_identical_mapping_allowed(tmp_path):

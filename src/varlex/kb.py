@@ -57,6 +57,12 @@ class VariantRecord:
         return (not self.rsid, len(self.rsid), self.rsid, self.ca_id)
 
 
+def _is_one_symbol(word: str) -> bool:
+    """Whether a stripped KB cell or lexicon line is one gene symbol: it is
+    not empty and holds no whitespace, so it is one word."""
+    return len(word.split()) == 1
+
+
 def _check_row(line_no: int, cols: list[str]) -> VariantRecord:
     if len(cols) != len(KB_HEADER):
         raise MalformedRow(
@@ -68,8 +74,7 @@ def _check_row(line_no: int, cols: list[str]) -> VariantRecord:
         raise MalformedRow(line_no, "rsid", f"bad rs identifier {rsid!r}")
     if ca_id and _CAID_RX.fullmatch(ca_id) is None:
         raise MalformedRow(line_no, "ca_id", f"bad ClinGen allele id {ca_id!r}")
-    # gene is stripped, so it is one word exactly when it is one symbol.
-    if len(gene.split()) != 1:
+    if not _is_one_symbol(gene):
         raise MalformedRow(line_no, "gene", f"bad gene symbol {gene!r}")
     if not rsid and not ca_id:
         raise MalformedRow(line_no, "rsid", "row carries no identifier")
@@ -183,7 +188,7 @@ def load_genes(source: Union[str, TextIO]) -> frozenset[str]:
         symbol = line.strip()
         if not symbol:
             continue
-        if any(ch.isspace() for ch in symbol):
+        if not _is_one_symbol(symbol):
             raise MalformedRow(line_no, "symbol", f"bad gene symbol {symbol!r}")
         symbols.add(symbol)
     return frozenset(symbols)

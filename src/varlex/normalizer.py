@@ -127,13 +127,30 @@ def normalize(
     narrows multiple hits, and any ambiguity left is flagged on the result.
     Incomplete mentions (no mutant allele) get no allele-specific ids.
     """
+    return _normalize(mention, kb, policy)[0]
+
+
+def _normalize(
+    mention: Mention, kb: KnowledgeBase, policy: NormalizationPolicy
+) -> tuple[NormalizedId, list[VariantRecord] | None]:
+    """``normalize``'s id, and the ``candidate_records`` it read for a
+    variant descriptor (None for any other mention)."""
     if mention.mtype is MentionType.SNP and mention.identifier:
-        return NormalizedId(IdKind.RSID, rsid=mention.identifier)
+        return NormalizedId(IdKind.RSID, rsid=mention.identifier), None
     descriptor = mention.descriptor
     if not isinstance(descriptor, VariantDescriptor):
-        return UNNORMALIZED
+        return UNNORMALIZED, None
     gene = _mention_gene(mention)
     records = candidate_records(kb, gene, descriptor)
+    return _ladder(records, gene, descriptor, policy), records
+
+
+def _ladder(
+    records: list[VariantRecord],
+    gene: str | None,
+    descriptor: VariantDescriptor,
+    policy: NormalizationPolicy,
+) -> NormalizedId:
     ambiguous = len({_identity(r) for r in records}) > 1
     best = records[0] if records else None
     incomplete = descriptor.is_incomplete

@@ -1,12 +1,15 @@
 """End-to-end annotation: recognize, resolve genes, normalize, group.
 
-The annotator keeps no state between documents, so any process may
-annotate any document.  ``annotate_all`` with more than one worker forks a
-pool of worker processes on first use and keeps it for later calls.  Each
-worker inherits the annotator, KB, lexicon and compiled rules included,
-from the fork, so only documents and results cross the process boundary.
-Every worker gets one contiguous slice of the batch and the slices are
-joined in input order, so output is identical at any worker count.
+Within a document, mentions that agree on type, descriptor or identifier,
+and gene are normalized once, and grouping reuses the KB records that
+normalization read; nothing is kept from one document to the next, so
+any process may annotate any document.  ``annotate_all`` with more than
+one worker forks a pool of worker processes on first use and keeps it for
+later calls.  Each worker inherits the annotator, KB, lexicon and compiled
+rules included, from the fork, so only documents and results cross the
+process boundary.  Every worker gets one contiguous slice of the batch and
+the slices are joined in input order, so output is identical at any worker
+count.
 """
 
 from __future__ import annotations
@@ -17,14 +20,15 @@ from concurrent import futures
 from typing import Iterable
 
 from .corpus import Annotation, Document
-from .grouping import group_mentions, propagated_ids
+from .grouping import _link_keys, group_mentions, propagated_ids
 from .hgvs import MentionType
 from .kb import KnowledgeBase
 from .normalizer import (
     DEFAULT_POLICY,
     NormalizationPolicy,
+    _mention_gene,
+    _normalize,
     gene_contexts,
-    normalize,
 )
 from .recognizer import Recognizer
 from .tokenizer import _sentence_spans
@@ -76,9 +80,23 @@ class Annotator:
             contexts = gene_contexts(mentions, genes, sentences)
             for mention, gene in zip(mentions, contexts):
                 mention.gene_context = gene
-        ids = [normalize(m, self.kb, policy=self.policy) for m in mentions]
+        # Mentions that agree on all that normalization and linking read
+        # share one resolution, so a repeated variant is looked up once.
+        resolved = {}
+        ids, link_keys = [], []
+        for m in mentions:
+            key = (m.mtype, m.descriptor, m.identifier, _mention_gene(m))
+            if key not in resolved:
+                nid, records = _normalize(m, self.kb, self.policy)
+                keys = (
+                    _link_keys(m, nid, self.kb, records) if self.group else None
+                )
+                resolved[key] = nid, keys
+            nid, keys = resolved[key]
+            ids.append(nid)
+            link_keys.append(keys)
         if self.group:
-            groups = group_mentions(mentions, ids, self.kb)
+            groups = group_mentions(mentions, ids, self.kb, link_keys)
             ids = propagated_ids(mentions, ids, groups)
         annotations = []
         for mention, norm in zip(mentions, ids):

@@ -9,14 +9,19 @@ of every rule's triggers, one sought in the raw text and one in its
 a trigger starts.  One pass over the text then finds the word starts of
 every rule in play; at each, a rule is matched unless its previous match
 covers the position, which gives exactly the matches of its own
-``finditer``.  Overlapping candidates are then arbitrated by span length,
+``finditer``.  A rule builds each distinct text it matches once per text:
+no pattern looks outside its match, so what a match builds follows from
+its text.  Overlapping candidates are then arbitrated by span length,
 left position, and concept-type priority, in that order, so output never
 depends on rule order or dictionary iteration.  Mention offsets are UTF-8
 byte positions into the scanned text.
 
-The pipeline needs the genes of a text only when it holds a mention, so a
-text without a rule candidate gets the lexicon pass only when one of its
-letter+digit runs splits into a gene and a variant.
+The lexicon pass reads only the runs that start with a symbol's first two
+characters, or with a one-character symbol: one search, built with the
+recognizer, finds those heads.  The pipeline needs the genes of a text only
+when it holds a mention, so a text without a rule candidate gets the
+lexicon pass only when one of its letter+digit runs splits into a gene and
+a variant.
 """
 
 from __future__ import annotations
@@ -190,23 +195,77 @@ _REGION_TYPES = frozenset({
 })
 
 
-def _candidate(scanner: tuple, m: re.Match) -> _Candidate | None:
-    """What a scanner's match names, or None when its rule builds nothing
-    from it."""
-    rule, _, roles = scanner
+def _build(
+    rule: GrammarRule, m: re.Match
+) -> tuple[MentionType, Descriptor | str] | None:
+    """The type of what a rule's match names, and what it names; None when
+    the rule builds nothing from it."""
     try:
         built = rule.build(m)
     except (ValueError, ParseFailure):
         return None
+    mtype = rule.mtype if isinstance(built, str) else classify_descriptor(built)
+    return mtype, built
+
+
+def _components(
+    roles: tuple[tuple[ComponentRole, str], ...], m: re.Match
+) -> tuple[tuple[ComponentRole, tuple[int, int]], ...]:
     # A group that took no part spans (-1, -1); an empty one spans nothing.
     # Neither names a component.
-    comps = [
+    return tuple([
         (role, span)
         for role, group in roles
         if (span := m.span(group))[0] != span[1]
-    ]
-    mtype = rule.mtype if isinstance(built, str) else classify_descriptor(built)
-    return _Candidate(m.start(), m.end(), mtype, built, tuple(comps))
+    ])
+
+
+def _heads_finder(lexicon: frozenset[str]) -> re.Pattern | None:
+    """One search for the run starts where a lexicon symbol can begin, or
+    None when no symbol is a run.
+
+    A run is a symbol, or splits into one and a variant, only when it
+    starts with that symbol, so only its first two characters are looked
+    at: a symbol's first character and its second, or a one-character
+    symbol.  A symbol that is not itself a run (it holds punctuation or a
+    non-ASCII letter) can be neither.  The finder leads with the class of
+    first characters, which the regex engine skips to quickly; two
+    look-behinds after it ask that the first starts a run and that the
+    pair is a symbol's.  Leading with a look-behind took two to three
+    times as long on perfbench's corpora.  A digit after a joining comma
+    passes, and the caller drops it.
+    """
+    # An ASCII string is a run when it is all letters and digits, and the
+    # C-level test saves the regex on nearly every symbol.
+    heads = {
+        symbol[:2] for symbol in lexicon
+        if symbol.isascii() and symbol.isalnum()
+        or _ALNUM_RUN.fullmatch(symbol)
+    }
+    if not heads:
+        return None
+    seconds: dict[str, set[str]] = {}
+    alone: set[str] = set()
+    for head in heads:
+        if len(head) == 1:
+            alone.add(head)
+        else:
+            seconds.setdefault(head[0], set()).add(head[1])
+
+    def chars(group) -> str:
+        return re.escape("".join(sorted(group)))
+
+    tails = [f"(?<=[{chars(alone)}])"] if alone else []
+    if seconds:
+        pairs = "|".join(
+            f"{re.escape(first)}[{chars(group)}]"
+            for first, group in sorted(seconds.items())
+        )
+        tails.append(f"[{chars(set().union(*seconds.values()))}](?<={pairs})")
+    return re.compile(
+        f"[{chars(alone | seconds.keys())}](?<![0-9A-Za-z].)"
+        f"(?:{'|'.join(tails)})"
+    )
 
 
 def split_gene_fused(
@@ -253,6 +312,7 @@ class Recognizer:
     def __init__(self, lexicon: frozenset[str] | None = None):
         self.lexicon = lexicon
         self._longest = max(map(len, lexicon or ()), default=0)
+        self._heads = _heads_finder(lexicon) if lexicon else None
         # Each scanner: its rule, the guarded regex, and the component
         # groups.
         self._scanners: list[
@@ -348,41 +408,59 @@ class Recognizer:
         by_start = self._by_start
         ends = [0] * len(scanners)
         found: list[list[_Candidate]] = [[] for _ in scanners]
+        # What each scanner built from each match text it met, None when the
+        # build failed.  No pattern looks outside its match (only the guards
+        # do), so a match's groups, and what it builds, follow from its text.
+        built: dict[tuple[int, str], tuple | None] = {}
         for w in finder.finditer(text):
             s = w.start()
             second = text[s + 1]
             for k in by_start[w.group()]:
                 if second in allowed[k] and s >= ends[k]:
-                    m = scanners[k][1].match(text, s)
-                    if m is not None:
-                        ends[k] = m.end()
-                        candidate = _candidate(scanners[k], m)
-                        if candidate is not None:
-                            found[k].append(candidate)
+                    rule, rx, roles = scanners[k]
+                    m = rx.match(text, s)
+                    if m is None:
+                        continue
+                    ends[k] = m.end()
+                    key = (k, m.group())
+                    if key not in built:
+                        built[key] = _build(rule, m)
+                    made = built[key]
+                    if made is not None:
+                        found[k].append(_Candidate(
+                            s, m.end(), *made, _components(roles, m)
+                        ))
         return [c for candidates in found for c in candidates]
 
     def _token_hits(
         self, text: str
     ) -> tuple[list[tuple[str, int, int]], list[_Candidate]]:
-        """One pass over alphanumeric runs: lexicon hits and fused splits.
+        """One pass over the runs a symbol can start: lexicon hits and
+        fused splits.
 
         Gene spans come back in character coordinates; the caller converts.
         """
         genes: list[tuple[str, int, int]] = []
         fused: list[_Candidate] = []
-        if not self.lexicon:
+        if self._heads is None:
             return genes, fused
         # Only a text with a non-ASCII character can hold another script's
         # digit, and str.isascii costs nothing.
         plain = text.isascii()
-        for m in _ALNUM_RUN.finditer(text):
+        for head in self._heads.finditer(text):
+            start = head.start()
+            # A digit after a joining comma continues a run; it starts none.
+            if start and _JOINING_COMMA.match(text, start - 1):
+                continue
+            m = _ALNUM_RUN.match(text, start)
             run = m.group()
             if run in self.lexicon:
                 if plain or not _touches_a_digit(text, *m.span()):
                     genes.append((run, m.start(), m.end()))
                 continue
-            # Only letter+digit runs can hide a fused gene; comma-bearing
-            # runs are numeric and fail isalnum.
+            # A fused variant holds a letter and a digit, so only a run
+            # holding both can hide one.  A run holding a comma is read as
+            # a number and never splits; it fails isalnum.
             if run.isalpha() or run.isdigit() or not run.isalnum():
                 continue
             if not plain and _touches_a_digit(text, *m.span()):

@@ -64,7 +64,7 @@ def kb_row_verdict(cols: list[str]):
         return "rsid"
     if ca_id and re.fullmatch(r"CA[0-9]+", ca_id) is None:
         return "ca_id"
-    if not gene or any(ch.isspace() for ch in gene):
+    if not is_one_symbol(gene):
         return "gene"
     if not rsid and not ca_id:
         return "rsid"
@@ -74,6 +74,12 @@ def kb_row_verdict(cols: list[str]):
         if not set(allele) <= set("ACGTU"):
             return column
     return (rsid, ca_id, gene, dna, prot, ref, alt)
+
+
+def is_one_symbol(word: str) -> bool:
+    """Whether a stripped KB gene cell or lexicon line is a gene symbol:
+    not empty, and no character of it is whitespace."""
+    return bool(word) and not any(ch.isspace() for ch in word)
 
 
 _PREFIX_RX = re.compile(r"p\.[A-Z]\d+")
@@ -186,6 +192,10 @@ def scan_every_rule(
     for run, start, end in lexicon_runs(text) if lexicon else ():
         if run in lexicon:
             genes.append((run, start, end))
+            continue
+        # A run holding a comma is read as a number: it may be a symbol,
+        # but it never splits.
+        if "," in run:
             continue
         split = split_gene_fused(run, lexicon)
         if split is not None:

@@ -19,7 +19,7 @@ from varlex import (
     load_genes,
     load_kb,
 )
-from varlex.kb import KB_HEADER
+from varlex.kb import KB_HEADER, _is_one_symbol
 
 import oracles
 
@@ -373,6 +373,36 @@ def test_load_genes_rejects_embedded_whitespace(tmp_path):
     with pytest.raises(MalformedRow) as err:
         load_genes(str(path))
     assert err.value.line_no == 2
+
+
+# Lexicon lines: symbols, near-symbols and whitespace of every kind str
+# strips and splits on, run together.  Zero-width space and joiners are not
+# whitespace.
+_WORD_CHARS = ["A", "1", "-", "\u00e9", "\u200b", "\u2060", "\t", " ",
+               "\u1680", "\u2029", *_SPACES]
+
+
+@given(st.lists(st.lists(st.sampled_from(_WORD_CHARS), max_size=5)
+                .map("".join), min_size=1, max_size=4))
+@settings(max_examples=500, deadline=None)
+def test_one_symbol_rule_agrees_with_the_plain_predicate(lines):
+    # KB gene cells and lexicon lines share the rule; the KB side is
+    # test_row_checks_agree_with_the_plain_predicates.
+    for line in lines:
+        word = line.strip()
+        assert _is_one_symbol(word) == oracles.is_one_symbol(word)
+    want = set()
+    for line_no, line in enumerate(lines, start=1):
+        word = line.strip()
+        if not word:
+            continue
+        if not oracles.is_one_symbol(word):
+            with pytest.raises(MalformedRow) as err:
+                load_genes(io.StringIO("\n".join(lines)))
+            assert (err.value.line_no, err.value.column) == (line_no, "symbol")
+            return
+        want.add(word)
+    assert load_genes(io.StringIO("\n".join(lines))) == want
 
 
 def test_kb_row_holding_a_form_feed_is_one_row():

@@ -715,11 +715,42 @@ def test_arbitration_matches_pairwise_oracle(spans):
     assert Recognizer._resolve(candidates) == [t[3] for t in want]
 
 
-def _min_seconds(annotator, batches):
+# Lexicon symbols: one character, digit-led, holding a joining comma, and
+# ones no run can be (punctuation, a non-ASCII letter).
+_SYMBOLS = [
+    "A", "V", "a", "7", "1A", "12", "2B", "1,2", "B", "BR", "BRAF", "Ab",
+    "KRAS", "TP53", "X-1", "é1", "BRAF-1", "ſ",
+]
+# Texts of symbols, variant tails they fuse with, numbers joined by commas,
+# and digits of another script that runs may touch.
+_HEAD_PIECES = [
+    *_SYMBOLS, "V600E", "G12D", "600E", "c.35G>A", "3,4", "1,2,3", "٢", "١",
+    "é", "the", ",",
+]
+
+
+@given(
+    symbols=st.frozensets(st.sampled_from(_SYMBOLS), max_size=8),
+    pieces=st.lists(st.tuples(st.sampled_from(_HEAD_PIECES),
+                              st.sampled_from(["", "", " ", ",", "-"])),
+                    max_size=10),
+)
+@settings(max_examples=500, deadline=None)
+def test_symbol_heads_find_every_run_a_symbol_can_start(symbols, pieces):
+    # The lexicon pass reads only the runs its head finder points at; the
+    # oracle tries every run.
+    text = "".join(piece + sep for piece, sep in pieces)
+    recognizer = Recognizer(symbols)
+    mentions, genes = scan_every_rule(text, symbols, "d")
+    assert recognizer.find_gene_mentions(text) == genes
+    assert recognizer.scan_document(text, "d") == (mentions, genes)
+
+
+def _min_seconds(work, batches):
     # Interleaved, so a slow spell of the machine hits every batch alike.
     # The collector is paused while a batch is timed: its passes walk the
-    # whole heap, so their cost does not scale with the text, and a linear
-    # scan could read as superlinear.
+    # whole heap, so their cost does not scale with the input, and a
+    # linear scan could read as superlinear.
     enabled = gc.isenabled()
     best = [float("inf")] * len(batches)
     for _ in range(3):
@@ -727,8 +758,8 @@ def _min_seconds(annotator, batches):
             gc.disable()
             try:
                 started = time.perf_counter()
-                for text in batch:
-                    annotator.annotate_text(text)
+                for item in batch:
+                    work(item)
                 best[k] = min(best[k], time.perf_counter() - started)
             finally:
                 if enabled:
@@ -736,22 +767,22 @@ def _min_seconds(annotator, batches):
     return best
 
 
-def _doubling_ratio(annotator, build):
-    """How much longer ``build(2 * n)`` takes to annotate than ``build(n)``,
-    for the first doubled n whose text takes 25 ms.  The median of five
+def _doubling_ratio(work, build):
+    """How much longer ``work(build(2 * n))`` takes than ``work(build(n))``,
+    for the first doubled n whose input takes 25 ms.  The median of five
     min-of-3 ratios: a shared machine slows single runs by a third.
 
-    ``build(n)`` is annotated twice per timing, so both timings span the
+    ``build(n)`` is worked twice per timing, so both timings span the
     same wall time: when other work on the host comes in short bursts, a
     window half as long is left clean more often, which inflates the
     ratio."""
     n = 25
-    while _min_seconds(annotator, [[build(n)]])[0] < 0.025:
+    while _min_seconds(work, [[build(n)]])[0] < 0.025:
         n *= 2
     batches = [[build(n)] * 2, [build(2 * n)]]
     return statistics.median(
         2 * twice / pair
-        for pair, twice in (_min_seconds(annotator, batches) for _ in range(5))
+        for pair, twice in (_min_seconds(work, batches) for _ in range(5))
     )
 
 
@@ -785,10 +816,30 @@ def test_dense_input_scales_linearly(annotator, unit):
         annotator = Annotator(
             lexicon=frozenset(_gene_symbol(i) for i in range(20_000))
         )
-    assert _doubling_ratio(annotator, build) <= 2.5
+    assert _doubling_ratio(annotator.annotate_text, build) <= 2.5
 
 
 def test_dense_allele_run_is_fast(annotator):
     started = time.perf_counter()
     annotator.annotate_text("Ala1 " * 6400)
     assert time.perf_counter() - started < 1.0
+
+
+def _crowded(n):
+    """``n`` kept spans in text order, each with an equal span of a lower
+    type and a shorter span inside, both of which lose to it."""
+    candidates = []
+    for i in range(n):
+        s = 10 * i
+        candidates += [
+            _Candidate(s, s + 5, MT.PROTEIN_MUTATION, "kept", ()),
+            _Candidate(s, s + 5, MT.DNA_ALLELE, "tie", ()),
+            _Candidate(s + 1, s + 3, MT.SNP, "inside", ()),
+        ]
+    return candidates
+
+
+def test_arbitration_scales_linearly():
+    # Arbitration alone: a candidate tested against every kept span costs
+    # less than the rest of an annotation and passes the test above.
+    assert _doubling_ratio(Recognizer._resolve, _crowded) <= 2.5

@@ -12,9 +12,10 @@ as PubTator files do, so a form feed or U+2028 stays inside its row.
 
 Loading pauses the cyclic garbage collector and restores it after, even
 when a row is refused: the load builds no reference cycle, and collections
-during it would only walk the growing heap again.  Records have slots, and
-the rows of one gene share one symbol string, so a 100,000-row KB keeps
-75 MB live and peaks at 77 MB while it loads.
+during it would only walk the growing heap again.  Records have slots, the
+rows of one gene share one symbol string, and an index key with one record
+holds the record itself, so a 100,000-row KB keeps 53 MB live and peaks at
+56 MB while it loads.
 """
 
 from __future__ import annotations
@@ -87,33 +88,63 @@ def _check_row(line_no: int, cols: list[str]) -> VariantRecord:
     return VariantRecord(rsid, ca_id, sys.intern(gene), dna, prot, ref, alt)
 
 
+def _hold(
+    index: dict[str, VariantRecord | list[VariantRecord]],
+    key: str,
+    rec: VariantRecord,
+) -> None:
+    """Add ``rec`` to ``index[key]``, after the records it holds: the value
+    is the one record of a key, or the list of its records."""
+    held = index.setdefault(key, rec)
+    if held is rec:
+        return
+    if type(held) is list:
+        held.append(rec)
+    else:
+        index[key] = [held, rec]
+
+
+def _fresh_list(
+    held: VariantRecord | list[VariantRecord] | None,
+) -> list[VariantRecord]:
+    """The records of an index value, in a list of the caller's own."""
+    if held is None:
+        return []
+    if type(held) is list:
+        return held.copy()
+    return [held]
+
+
 class KnowledgeBase:
     """In-memory exact-match indexes over the KB rows.
 
     Four KB-wide indexes map a canonical form to its records: DNA HGVS,
-    protein HGVS, protein position prefix ("p.V600") and rs number.  Each
-    list is deduplicated and ordered once, here, so lookups only filter.
+    protein HGVS, protein position prefix ("p.V600") and rs number.  The
+    records of a key are deduplicated and ordered once, here, so lookups
+    only filter.  A key's value is its one record itself, or a list once
+    the key has two: most keys have one, and a list per key would cost
+    more than the record.
     """
 
     def __init__(self, records: Iterable[VariantRecord]):
         self.records: tuple[VariantRecord, ...] = tuple(records)
-        self._by_dna: dict[str, list[VariantRecord]] = {}
-        self._by_prot: dict[str, list[VariantRecord]] = {}
-        self._by_prefix: dict[str, list[VariantRecord]] = {}
-        self._by_rsid: dict[str, list[VariantRecord]] = {}
+        self._by_dna: dict[str, VariantRecord | list[VariantRecord]] = {}
+        self._by_prot: dict[str, VariantRecord | list[VariantRecord]] = {}
+        self._by_prefix: dict[str, VariantRecord | list[VariantRecord]] = {}
+        self._by_rsid: dict[str, VariantRecord | list[VariantRecord]] = {}
         # Identical rows collapse to their first occurrence; the stable sort
         # keeps file order among rows that tie on sort_key.
         unique = sorted(dict.fromkeys(self.records), key=VariantRecord.sort_key)
         for rec in unique:
             if rec.dna_hgvs:
-                self._by_dna.setdefault(rec.dna_hgvs, []).append(rec)
+                _hold(self._by_dna, rec.dna_hgvs, rec)
             if rec.protein_hgvs:
-                self._by_prot.setdefault(rec.protein_hgvs, []).append(rec)
+                _hold(self._by_prot, rec.protein_hgvs, rec)
                 pm = _PROT_PREFIX_RX.match(rec.protein_hgvs)
                 if pm is not None:
-                    self._by_prefix.setdefault(pm.group(0), []).append(rec)
+                    _hold(self._by_prefix, pm.group(0), rec)
             if rec.rsid:
-                self._by_rsid.setdefault(rec.rsid, []).append(rec)
+                _hold(self._by_rsid, rec.rsid, rec)
 
     def lookup(
         self, gene: str | None, descriptor: VariantDescriptor
@@ -130,14 +161,14 @@ class KnowledgeBase:
             table = self._by_prefix
         else:
             table = self._by_prot
-        records = table.get(canonical_string(descriptor), [])
+        records = _fresh_list(table.get(canonical_string(descriptor)))
         if gene:
             return [r for r in records if r.gene == gene]
-        return list(records)
+        return records
 
     def lookup_rsid(self, rsid: str) -> list[VariantRecord]:
         # Stored ids are lowercase; accept Rs/RS spellings from raw text.
-        return list(self._by_rsid.get(rsid.lower(), []))
+        return _fresh_list(self._by_rsid.get(rsid.lower()))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -166,16 +197,30 @@ def _kb_rows(source: Union[str, TextIO]) -> list[VariantRecord]:
     if [c.strip() for c in lines[0].split("\t")] != list(KB_HEADER):
         raise MalformedRow(1, "header", "missing or wrong header line")
     records: list[VariantRecord] = []
-    first_rsid: dict[tuple[str, str], str] = {}
+    # The first row with an rs number naming an HGVS string, or, once a
+    # second gene names it, a dict from gene to that gene's first row.  DNA
+    # and protein forms share one map, as they share one key space.
+    first: dict[str, VariantRecord | dict[str, VariantRecord]] = {}
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         rec = _check_row(line_no, line.split("\t"))
-        for hgvs in (rec.dna_hgvs, rec.protein_hgvs):
-            if hgvs and rec.rsid:
-                prior = first_rsid.setdefault((rec.gene, hgvs), rec.rsid)
-                if prior != rec.rsid:
-                    raise DuplicateKey(line_no, (rec.gene, hgvs), prior, rec.rsid)
+        if rec.rsid:
+            for hgvs in (rec.dna_hgvs, rec.protein_hgvs):
+                if not hgvs:
+                    continue
+                prior = first.setdefault(hgvs, rec)
+                if prior is rec:
+                    continue
+                if type(prior) is dict:
+                    prior = prior.setdefault(rec.gene, rec)
+                elif prior.gene != rec.gene:
+                    first[hgvs] = {prior.gene: prior, rec.gene: rec}
+                    continue
+                if prior.rsid != rec.rsid:
+                    raise DuplicateKey(
+                        line_no, (rec.gene, hgvs), prior.rsid, rec.rsid
+                    )
         records.append(rec)
     return records
 

@@ -19,15 +19,14 @@ byte positions into the scanned text.
 The lexicon pass reads only the runs that start with a symbol's first two
 characters, or with a one-character symbol: one search, built with the
 recognizer, finds those heads.  The pipeline needs the genes of a text only
-when it holds a mention, so a text without a rule candidate gets the
-lexicon pass only when one of its letter+digit runs splits into a gene and
-a variant.
+when it holds a mention, so the pass's genes of a text without a rule
+candidate are dropped unless one of its runs splits into a gene and a
+variant.
 """
 
 from __future__ import annotations
 
 import re
-import string
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -59,12 +58,8 @@ _GUARD_AFTER = r"(?![A-Za-z\d])"
 # decimal digit of another script: "BRAF" in "BRAF٢" is no gene, nor is
 # "BRAFV600E٢" split (see _touches_a_digit).
 _ALNUM_RUN = re.compile(r"[0-9A-Za-z]+(?:(?<=[0-9]),(?=[0-9])[0-9A-Za-z]+)*")
-# A digit beside a letter, which every letter+digit run holds; the rest
-# of its run; and a comma that joins two runs.
-_MIXED = re.compile(r"[0-9](?:(?<=[A-Za-z][0-9])|(?=[A-Za-z]))")
-_ALNUM_TAIL = re.compile(r"[0-9A-Za-z]*")
+# A comma that joins two runs.
 _JOINING_COMMA = re.compile(r"(?<=[0-9]),(?=[0-9])")
-_ASCII_ALNUM = frozenset(string.ascii_letters + string.digits)
 
 
 def _touches_a_digit(text: str, start: int, end: int) -> bool:
@@ -125,30 +120,6 @@ def _expanded(chars: str, flags: int) -> str:
         other = "".join(_OTHER_CASES.get(c, "") for c in chars)
         chars += chars.upper() + other
     return "".join(dict.fromkeys(chars))
-
-
-def _letter_digit_runs(text: str) -> list[str]:
-    """The runs of ``_ALNUM_RUN`` that hold a letter and a digit, no comma,
-    and touch no digit: the only ones that can hide a fused gene.
-
-    The search skips to digits, which prose holds few of, and reads each
-    run out from there; one regex that tries every word start took three
-    times as long on perfbench's pubmed_sparse corpus.
-    """
-    runs: list[str] = []
-    m = _MIXED.search(text)
-    while m is not None:
-        start = digit = m.start()
-        while start and text[start - 1] in _ASCII_ALNUM:
-            start -= 1
-        end = _ALNUM_TAIL.match(text, digit).end()
-        joined = (start and _JOINING_COMMA.match(text, start - 1)) or (
-            _JOINING_COMMA.match(text, end)
-        )
-        if not joined and not _touches_a_digit(text, start, end):
-            runs.append(text[start:end])
-        m = _MIXED.search(text, end)
-    return runs
 
 
 def _triggers_finder(triggers: set[str]) -> re.Pattern:
@@ -545,43 +516,40 @@ class Recognizer:
         self, text: str, doc_id: str = ""
     ) -> tuple[list[Mention], list[GeneMention]]:
         """Variant mentions and gene mentions of one text, in one pass."""
-        return self._scan(text, doc_id, self._rule_candidates(text, None))[:2]
+        candidates = self._rule_candidates(text, None)
+        return self._scan(text, doc_id, candidates, self._token_hits(text))[:2]
 
     def _scan_document(
         self, text: str, doc_id: str
     ) -> tuple[list[Mention], list[GeneMention], list[int] | None]:
         """``scan_document`` and the text's ``byte_offsets`` table.  A text
         without a mention gives ``([], [], None)``: the pipeline needs
-        neither its genes nor its table, so neither is built.  Nor is the
-        lexicon pass made over a text without a rule candidate, unless one
-        of its runs splits into a gene and a variant."""
+        neither its genes nor its table, so the table is not built.  A text
+        without a rule candidate holds a mention only when the lexicon
+        pass splits one of its runs into a gene and a variant."""
         candidates = self._rule_candidates(text, None)
-        if not candidates and not self._splits_a_run(text):
+        hits = self._token_hits(text)
+        if not candidates and not hits[1]:
             return [], [], None
-        return self._scan(text, doc_id, candidates)
+        return self._scan(text, doc_id, candidates, hits)
 
     def _scan(
-        self, text: str, doc_id: str, candidates: list[_Candidate]
+        self,
+        text: str,
+        doc_id: str,
+        candidates: list[_Candidate],
+        hits: tuple[list[tuple[str, int, int]], list[_Candidate]],
     ) -> tuple[list[Mention], list[GeneMention], list[int] | None]:
-        """The mentions of the rule ``candidates`` and the lexicon pass's
-        fused ones, the genes, and the text's ``byte_offsets`` table."""
-        gene_spans, fused = self._token_hits(text)
+        """The mentions of the rule ``candidates`` and of the fused ones in
+        the lexicon pass's ``hits``, the genes, and the text's
+        ``byte_offsets`` table."""
+        gene_spans, fused = hits
         candidates.extend(fused)
         table = byte_offsets(text)
         return (
             self._finalize(text, doc_id, candidates, table),
             _gene_mentions(gene_spans, table),
             table,
-        )
-
-    def _splits_a_run(self, text: str) -> bool:
-        """Whether the lexicon pass would find a fused candidate in
-        ``text``: a run it splits is a letter+digit run, not a symbol."""
-        lexicon = self.lexicon
-        return bool(lexicon) and any(
-            run not in lexicon
-            and _split_fused(run, lexicon, self._longest) is not None
-            for run in _letter_digit_runs(text)
         )
 
     def recognize(self, text: str, doc_id: str = "") -> list[Mention]:

@@ -42,15 +42,36 @@ def read_raw_rows(path: str) -> list[dict]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     rows = []
-    for line in lines[1:]:
+    for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         c = [x.strip() for x in line.split("\t")]
         rows.append({
             "rsid": c[0], "ca": c[1], "gene": c[2],
             "dna": c[3], "prot": c[4], "ref": c[5], "alt": c[6],
+            "line_no": line_no,
         })
     return rows
+
+
+def duplicate_key_oracle(raw_rows: list[dict]):
+    """The first (line_no, (gene, hgvs), first rsid, second rsid) at which
+    one (gene, HGVS) key claims a second rs number, or None: one map keyed
+    by the pair, DNA and protein forms alike, rows without an rsid
+    skipped."""
+    first_rsid = {}
+    for row in raw_rows:
+        if not row["rsid"]:
+            continue
+        for hgvs in (row["dna"], row["prot"]):
+            if not hgvs:
+                continue
+            key = (row["gene"], hgvs)
+            if key not in first_rsid:
+                first_rsid[key] = row["rsid"]
+            elif first_rsid[key] != row["rsid"]:
+                return (row["line_no"], key, first_rsid[key], row["rsid"])
+    return None
 
 
 def kb_row_verdict(cols: list[str]):
@@ -83,6 +104,16 @@ def is_one_symbol(word: str) -> bool:
 
 
 _PREFIX_RX = re.compile(r"p\.[A-Z]\d+")
+
+
+def brute_force_rsid_lookup(rows: list[dict], rsid: str) -> list[tuple]:
+    """Scan every row for an rs number, any casing; return matches as
+    (rsid, ca, gene) tuples, CA-ordered, once each."""
+    hits = sorted(
+        (row["rsid"], row["ca"], row["gene"])
+        for row in rows if row["rsid"] == rsid.lower()
+    )
+    return list(dict.fromkeys(hits))
 
 
 def brute_force_lookup(

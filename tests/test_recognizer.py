@@ -30,13 +30,11 @@ from varlex.recognizer import (
     _REGION_TYPES,
     _Candidate,
     _expanded,
-    _letter_digit_runs,
     _present_triggers,
 )
 
 from oracles import (
     arbitrate,
-    lexicon_runs,
     rule_candidates_oracle,
     scan_every_rule,
 )
@@ -475,33 +473,6 @@ def test_trigger_gate_finds_exactly_the_triggers_present(recognizer, pieces):
     raw = {t for r in _SCANNED_RULES if not r.flags & re.IGNORECASE
            for t in r.triggers}
     assert [set(p) for _, p in recognizer._trigger_finders] == [raw, folding]
-
-
-def _alnum_letter_digit_runs(text):
-    return [
-        run for run, _, _ in lexicon_runs(text)
-        if run.isalnum() and not run.isalpha() and not run.isdigit()
-    ]
-
-
-@pytest.mark.parametrize("text,runs", [
-    ("1,2A3", []),
-    ("A1,2", []),
-    ("A1, 2B", ["A1", "2B"]),
-    ("x,1B", ["1B"]),
-    ("BRAFV600E and 3,18 or TP53", ["BRAFV600E", "TP53"]),
-    ("éA1 Б2b ٣C a١", ["A1", "2b"]),
-    # A run touching a digit of another script is none.
-    ("BRAFV600E٢ ٢A1 x1,2٣B4 1٣,2B", ["2B"]),
-])
-def test_letter_digit_runs_examples(text, runs):
-    assert _letter_digit_runs(text) == runs == _alnum_letter_digit_runs(text)
-
-
-@given(st.text(alphabet="aZ09,,  .é٣Б_-", max_size=40))
-@settings(max_examples=500, deadline=None)
-def test_letter_digit_runs_are_the_mixed_alnum_runs(text):
-    assert _letter_digit_runs(text) == _alnum_letter_digit_runs(text)
 
 
 # Gene symbols (with and without digits), fused tokens that split and that

@@ -50,18 +50,22 @@ class EvalReport:
 
 
 def _items(docs: Iterable[Document], mode: EvalMode) -> set[tuple]:
-    items: set[tuple] = set()
-    for doc in docs:
-        for ann in doc.annotations:
-            if mode is EvalMode.MENTION_SPAN:
-                items.add((doc.doc_id, ann.start, ann.end))
-            elif mode is EvalMode.MENTION_TYPE:
-                items.add((doc.doc_id, ann.start, ann.end, ann.label))
-            else:
-                # Identifier scoring ignores mentions nothing resolved.
-                if ann.norm_id and ann.norm_id != "-":
-                    items.add((doc.doc_id, ann.norm_id))
-    return items
+    if mode is EvalMode.MENTION_SPAN:
+        return {
+            (doc.doc_id, ann.start, ann.end)
+            for doc in docs for ann in doc.annotations
+        }
+    if mode is EvalMode.MENTION_TYPE:
+        return {
+            (doc.doc_id, ann.start, ann.end, ann.label)
+            for doc in docs for ann in doc.annotations
+        }
+    # Identifier scoring ignores mentions nothing resolved.
+    return {
+        (doc.doc_id, ann.norm_id)
+        for doc in docs for ann in doc.annotations
+        if ann.norm_id and ann.norm_id != "-"
+    }
 
 
 def evaluate(

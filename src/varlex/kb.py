@@ -13,9 +13,10 @@ as PubTator files do, so a form feed or U+2028 stays inside its row.
 Loading pauses the cyclic garbage collector and restores it after, even
 when a row is refused: the load builds no reference cycle, and collections
 during it would only walk the growing heap again.  Records have slots, the
-rows of one gene share one symbol string, and an index key with one record
-holds the record itself, so a 100,000-row KB keeps 53 MB live and peaks at
-56 MB while it loads.
+rows of one gene share one symbol string, an index key with one record
+holds the record itself, and the indexes are built in file order with only
+the keys holding two records or more sorted, so a 100,000-row KB keeps
+53 MB live and peaks at 54 MB while it loads.
 """
 
 from __future__ import annotations
@@ -88,20 +89,25 @@ def _check_row(line_no: int, cols: list[str]) -> VariantRecord:
     return VariantRecord(rsid, ca_id, sys.intern(gene), dna, prot, ref, alt)
 
 
-def _hold(
-    index: dict[str, VariantRecord | list[VariantRecord]],
-    key: str,
-    rec: VariantRecord,
-) -> None:
-    """Add ``rec`` to ``index[key]``, after the records it holds: the value
-    is the one record of a key, or the list of its records."""
-    held = index.setdefault(key, rec)
-    if held is rec:
-        return
-    if type(held) is list:
-        held.append(rec)
-    else:
-        index[key] = [held, rec]
+def _index(
+    pairs: Iterable[tuple[str, VariantRecord]],
+    shared: list[list[VariantRecord]],
+) -> dict[str, VariantRecord | list[VariantRecord]]:
+    """Map each key to its records in the order the pairs come: the value is
+    the one record of a key, or the list of its records.  A record equal to
+    a key's one record is dropped.  Each list goes to ``shared`` as it is
+    made, for the caller to deduplicate and order."""
+    index: dict[str, VariantRecord | list[VariantRecord]] = {}
+    for key, rec in pairs:
+        held = index.setdefault(key, rec)
+        if held is rec:
+            continue
+        if type(held) is list:
+            held.append(rec)
+        elif held != rec:
+            index[key] = held = [held, rec]
+            shared.append(held)
+    return index
 
 
 def _fresh_list(
@@ -127,24 +133,34 @@ class KnowledgeBase:
     """
 
     def __init__(self, records: Iterable[VariantRecord]):
-        self.records: tuple[VariantRecord, ...] = tuple(records)
-        self._by_dna: dict[str, VariantRecord | list[VariantRecord]] = {}
-        self._by_prot: dict[str, VariantRecord | list[VariantRecord]] = {}
-        self._by_prefix: dict[str, VariantRecord | list[VariantRecord]] = {}
-        self._by_rsid: dict[str, VariantRecord | list[VariantRecord]] = {}
-        # Identical rows collapse to their first occurrence; the stable sort
-        # keeps file order among rows that tie on sort_key.
-        unique = sorted(dict.fromkeys(self.records), key=VariantRecord.sort_key)
-        for rec in unique:
-            if rec.dna_hgvs:
-                _hold(self._by_dna, rec.dna_hgvs, rec)
-            if rec.protein_hgvs:
-                _hold(self._by_prot, rec.protein_hgvs, rec)
-                pm = _PROT_PREFIX_RX.match(rec.protein_hgvs)
-                if pm is not None:
-                    _hold(self._by_prefix, pm.group(0), rec)
-            if rec.rsid:
-                _hold(self._by_rsid, rec.rsid, rec)
+        records = tuple(records)
+        self.records: tuple[VariantRecord, ...] = records
+        # The indexes are built in file order.  Most keys hold one record,
+        # so only the lists of the others are ordered, at the end.  The
+        # indexes with a key for nearly every row come first: a dict that
+        # grows holds its old and new tables at once, and that costs least
+        # before the other indexes exist.
+        shared: list[list[VariantRecord]] = []
+        self._by_rsid = _index(((r.rsid, r) for r in records if r.rsid), shared)
+        self._by_prot = _index(
+            ((r.protein_hgvs, r) for r in records if r.protein_hgvs), shared
+        )
+        self._by_dna = _index(
+            ((r.dna_hgvs, r) for r in records if r.dna_hgvs), shared
+        )
+        self._by_prefix = _index(
+            ((m.group(0), r) for r in records
+             if (m := _PROT_PREFIX_RX.match(r.protein_hgvs)) is not None),
+            shared,
+        )
+        for held in shared:
+            # Identical rows collapse to their first occurrence, and the
+            # stable sort keeps file order among records that tie on
+            # sort_key: each key's part of one dedup and sort of all rows.
+            # Lists are deduplicated here, not at each insert, where each
+            # record would be compared with every record of its key.
+            held[:] = dict.fromkeys(held)
+            held.sort(key=VariantRecord.sort_key)
 
     def lookup(
         self, gene: str | None, descriptor: VariantDescriptor

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import weakref
-from concurrent import futures
 from typing import Iterable
 
 from .corpus import Annotation, Document
@@ -134,6 +133,9 @@ class Annotator:
         forks = hasattr(os, "fork")
         if threads <= 1 or len(docs) < _PARALLEL_MIN_DOCS or not forks:
             return [self.annotate_document(d) for d in docs]
+        # Imported here, as in _workers: a serial process never needs it.
+        from concurrent import futures
+
         pool = self._workers(threads)
         step = -(-len(docs) // threads)
         try:
@@ -154,9 +156,10 @@ class Annotator:
             if workers == n and all(a is b for a, b in zip(forked, state)):
                 return pool
             self._close_pool()
-        # Imported here: multiprocessing and the process pool's modules
-        # add 1.6 MB to a process that only annotates serially.
+        # Imported here: multiprocessing, concurrent.futures and the process
+        # pool's modules add 1.7 MB to a process that only annotates serially.
         import multiprocessing
+        from concurrent import futures
 
         # The pool holds the annotator weakly, so it cannot keep the
         # annotator alive here; a forked worker finds it alive in the

@@ -38,9 +38,11 @@ AA = "ACDEFGHIKLMNPQRSTVWY"
 # ---------------------------------------------------------------------------
 
 def read_raw_rows(path: str) -> list[dict]:
-    """Minimal TSV reader, no validation, used only as a reference."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    """Minimal TSV reader, no validation, used only as a reference.  A line
+    ends only at \\n, \\r\\n or \\r, as in the loader, so a form feed or
+    U+2028 stays inside its row."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lines = re.split(r"\r\n|\r|\n", fh.read())
     rows = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -103,24 +105,60 @@ def is_one_symbol(word: str) -> bool:
     return bool(word) and not any(ch.isspace() for ch in word)
 
 
-_PREFIX_RX = re.compile(r"p\.[A-Z]\d+")
+_PREFIX_RX = re.compile(r"p\.[A-Z][0-9]+")
+
+
+def raw_record(row: dict) -> tuple:
+    """A raw row's seven fields, in ``VariantRecord``'s field order."""
+    return (row["rsid"], row["ca"], row["gene"], row["dna"], row["prot"],
+            row["ref"], row["alt"])
+
+
+def record_order(record: tuple) -> tuple:
+    """Rows with an rs number first, by its value, then by CA id."""
+    rsid, ca = record[:2]
+    if rsid:
+        return (0, int(rsid[2:]), ca)
+    return (1, 0, ca)
+
+
+def first_of_each(records: list[tuple]) -> list[tuple]:
+    """The records without repeats, each where it first occurs."""
+    unique = []
+    for record in records:
+        if record not in unique:
+            unique.append(record)
+    return unique
+
+
+def index_oracle(records: list[tuple]) -> dict[str, dict[str, list[tuple]]]:
+    """The DNA, protein, prefix and rs indexes of seven-field records: the
+    records without repeats, sorted once, stably, by ``record_order``, then
+    each appended to the list of every key it has."""
+    indexes = {"dna": {}, "prot": {}, "prefix": {}, "rsid": {}}
+    for record in sorted(first_of_each(records), key=record_order):
+        rsid, _, _, dna, prot = record[:5]
+        prefix = _PREFIX_RX.match(prot)
+        keys = {"dna": dna, "prot": prot, "rsid": rsid,
+                "prefix": prefix.group(0) if prefix else ""}
+        for name, key in keys.items():
+            if key:
+                indexes[name].setdefault(key, []).append(record)
+    return indexes
 
 
 def brute_force_rsid_lookup(rows: list[dict], rsid: str) -> list[tuple]:
-    """Scan every row for an rs number, any casing; return matches as
-    (rsid, ca, gene) tuples, CA-ordered, once each."""
-    hits = sorted(
-        (row["rsid"], row["ca"], row["gene"])
-        for row in rows if row["rsid"] == rsid.lower()
-    )
-    return list(dict.fromkeys(hits))
+    """Scan every row for an rs number, any casing; return the matching
+    records, CA-ordered, once each."""
+    hits = [raw_record(row) for row in rows if row["rsid"] == rsid.lower()]
+    return sorted(first_of_each(hits), key=record_order)
 
 
 def brute_force_lookup(
     rows: list[dict], gene: str | None, descriptor: VariantDescriptor
 ) -> list[tuple]:
-    """Scan every row; return matches as (rsid, ca, gene) tuples in the
-    same deterministic order the indexed lookup promises."""
+    """Scan every row; return the matching records, once each, in the same
+    deterministic order the indexed lookup promises."""
     canon = canonical_string(descriptor)
     protein = descriptor.level is SequenceLevel.PROTEIN
     incomplete = (
@@ -139,19 +177,8 @@ def brute_force_lookup(
         else:
             ok = row["dna"] == canon
         if ok:
-            hits.append(row)
-
-    def order(row):
-        if row["rsid"]:
-            return (0, int(row["rsid"][2:]), row["ca"])
-        return (1, 0, row["ca"])
-
-    deduped = []
-    for row in sorted(hits, key=order):
-        item = (row["rsid"], row["ca"], row["gene"])
-        if item not in deduped:
-            deduped.append(item)
-    return deduped
+            hits.append(raw_record(row))
+    return sorted(first_of_each(hits), key=record_order)
 
 
 # ---------------------------------------------------------------------------

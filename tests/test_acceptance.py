@@ -7,6 +7,7 @@ VARLEX_EVAL_CORPUS to score a real gold file instead of the bundled
 sample.
 """
 
+import dataclasses
 import os
 import random
 import time
@@ -180,7 +181,7 @@ def test_criterion_5_property_round_trips(kb, capsys):
 
         def reference_records(m):
             if m.identifier is not None:
-                return {(r.rsid, r.ca_id, r.gene)
+                return {dataclasses.astuple(r)
                         for r in kb.lookup_rsid(m.identifier)}
             full = oracles.brute_force_lookup(rows, None, m.descriptor)
             gene = m.gene_context

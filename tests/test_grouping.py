@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -195,7 +196,7 @@ def test_closure_matches_bfs_oracle_on_random_docs(kb):
 
     def reference_records(mention):
         if mention.identifier is not None:
-            return {(r.rsid, r.ca_id, r.gene)
+            return {dataclasses.astuple(r)
                     for r in kb.lookup_rsid(mention.identifier)}
         full = oracles.brute_force_lookup(rows, None, mention.descriptor)
         gene = mention.gene_context

@@ -159,13 +159,69 @@ def test_single_and_shared_keys_give_fresh_lists(tmp_path, index, key, shared):
         ]
     for lookup, want in probes:
         got = lookup()
-        assert [(r.rsid, r.ca_id, r.gene) for r in got] == want
+        assert [dataclasses.astuple(r) for r in got] == want
         assert want
         before = list(got)
         got.append(got[0])
         assert lookup() == before
         lookup().clear()
         assert lookup() == before
+
+
+def test_rows_differing_only_in_dna_form_are_two_records(tmp_path):
+    # Same rs number, CA id and gene; only the DNA form tells them apart.
+    rows = ["rs1\tCA1\tG1\tc.5A>T\tp.M2L\tA\tT",
+            "rs1\tCA1\tG1\tc.6A>T\tp.M2L\tA\tT"]
+    path = write_kb(tmp_path, rows)
+    kb = load_kb(path)
+    raw = oracles.read_raw_rows(path)
+    for gene in (None, "G1"):
+        for surface in ("p.M2L", "p.M2"):
+            got = [dataclasses.astuple(r) for r in kb.lookup(gene, desc(surface))]
+            assert got == oracles.brute_force_lookup(raw, gene, desc(surface))
+            assert [r[3] for r in got] == ["c.5A>T", "c.6A>T"]
+    got = [dataclasses.astuple(r) for r in kb.lookup_rsid("rs1")]
+    assert got == oracles.brute_force_rsid_lookup(raw, "rs1")
+    assert len(got) == 2
+
+
+# Small KBs whose rows share DNA, protein, prefix and rs keys, repeat one
+# another, and tie on sort_key while differing in other fields: a few rows
+# drawn, then drawn from again.
+_ORDER_ROW = st.tuples(
+    st.sampled_from(["", "rs2", "rs10"]),
+    st.sampled_from(["", "CA1", "CA2"]),
+    st.sampled_from(["G1", "G2"]),
+    st.sampled_from(["", "c.1A>T", "c.2del"]),
+    st.sampled_from(["", "p.K1N", "p.K1L", "p.V600E"]),
+    st.sampled_from(["", "A"]),
+    st.sampled_from(["", "T"]),
+)
+_ORDER_KB = st.lists(_ORDER_ROW, min_size=1, max_size=6).flatmap(
+    lambda base: st.lists(st.sampled_from(base), min_size=1, max_size=14)
+)
+
+
+@given(_ORDER_KB)
+@settings(max_examples=500, deadline=None)
+def test_every_index_value_is_one_dedup_and_sort_of_all_rows(rows):
+    records = [VariantRecord(*row) for row in rows]
+    kb = KnowledgeBase(records)
+    want = oracles.index_oracle(rows)
+    first = {}
+    for rec in records:
+        first.setdefault(rec, rec)
+    for name in want:
+        index = getattr(kb, "_by_" + name)
+        got = {}
+        for key, held in index.items():
+            # A list holds two records or more.
+            assert type(held) is not list or len(held) > 1
+            held = held if type(held) is list else [held]
+            # Of identical rows, the first is the one held.
+            assert all(rec is first[rec] for rec in held)
+            got[key] = [dataclasses.astuple(rec) for rec in held]
+        assert got == want[name], name
 
 
 def test_missing_file_raises(tmp_path):
@@ -507,6 +563,24 @@ def test_kb_row_holding_a_form_feed_is_one_row():
     assert [r.protein_hgvs for r in kb.records] == ["p.M2L"]
 
 
+_FORM_FEED_ROW = "rs1\tCA1\tG1\tc.5A>T\tp.M2L\x0c\tA\tT"
+
+
+@pytest.mark.parametrize("text,line_nos", [
+    (HEADER + "\n" + _FORM_FEED_ROW + "\n", [2]),
+    (HEADER + "\r\n" + _FORM_FEED_ROW + "\r" + _GOOD_ROW + "\n", [2, 3]),
+], ids=["form_feed", "every_line_end"])
+def test_raw_rows_oracle_ends_lines_as_the_loader_does(tmp_path, text, line_nos):
+    path = tmp_path / "kb.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    raw = oracles.read_raw_rows(str(path))
+    records = load_kb(str(path)).records
+    assert [oracles.raw_record(r) for r in raw] == [
+        dataclasses.astuple(r) for r in records
+    ]
+    assert [r["line_no"] for r in raw] == line_nos
+
+
 def test_kb_line_numbers_count_only_line_ends():
     rows = ["rs1\tCA1\tG1\tc.5A>T\tp.M2L\tA\tT\x0c", "rs2\tCA2\tG1"]
     with pytest.raises(MalformedRow) as info:
@@ -588,7 +662,7 @@ def test_lookup_agrees_with_row_scan_oracle(tmp_path):
 
     hits = 0
     for gene, descriptor in probes:
-        got = [(r.rsid, r.ca_id, r.gene) for r in kb.lookup(gene, descriptor)]
+        got = [dataclasses.astuple(r) for r in kb.lookup(gene, descriptor)]
         want = oracles.brute_force_lookup(raw, gene, descriptor)
         assert got == want, (gene, descriptor.raw)
         hits += bool(got)

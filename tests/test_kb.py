@@ -4,6 +4,7 @@ import io
 import pickle
 import random
 import tracemalloc
+from itertools import starmap
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,10 +16,13 @@ from varlex import (
     KnowledgeBase,
     MalformedRow,
     VariantRecord,
+    VarlexError,
     classify_surface,
     load_genes,
     load_kb,
 )
+from varlex import kb as kb_module
+from varlex.corpus import _lines
 from varlex.kb import KB_HEADER, _is_one_symbol
 
 import oracles
@@ -145,8 +149,10 @@ def test_single_and_shared_keys_give_fresh_lists(tmp_path, index, key, shared):
     path = write_kb(tmp_path, _KEYED_ROWS)
     kb = load_kb(path)
     raw = oracles.read_raw_rows(path)
-    # The premise: one key of each index has one record, one has several.
-    assert isinstance(getattr(kb, index)[key], list) is shared
+    # The premise: one key of each index holds its one row, a tuple of the
+    # seven cells, and one holds a list of its rows.
+    held = getattr(kb, index)[key]
+    assert type(held) is (list if shared else tuple)
     if index == "_by_rsid":
         probes = [(lambda: kb.lookup_rsid(key),
                    oracles.brute_force_rsid_lookup(raw, key))]
@@ -205,22 +211,21 @@ _ORDER_KB = st.lists(_ORDER_ROW, min_size=1, max_size=6).flatmap(
 @given(_ORDER_KB)
 @settings(max_examples=500, deadline=None)
 def test_every_index_value_is_one_dedup_and_sort_of_all_rows(rows):
-    records = [VariantRecord(*row) for row in rows]
-    kb = KnowledgeBase(records)
+    kb = KnowledgeBase([VariantRecord(*row) for row in rows])
     want = oracles.index_oracle(rows)
     first = {}
-    for rec in records:
-        first.setdefault(rec, rec)
+    for row in kb._rows:
+        first.setdefault(row, row)
     for name in want:
         index = getattr(kb, "_by_" + name)
         got = {}
         for key, held in index.items():
-            # A list holds two records or more.
+            # A list holds two rows or more.
             assert type(held) is not list or len(held) > 1
             held = held if type(held) is list else [held]
             # Of identical rows, the first is the one held.
-            assert all(rec is first[rec] for rec in held)
-            got[key] = [dataclasses.astuple(rec) for rec in held]
+            assert all(type(row) is tuple and row is first[row] for row in held)
+            got[key] = held
         assert got == want[name], name
 
 
@@ -324,6 +329,141 @@ def test_duplicate_key_check_agrees_with_the_pair_keyed_oracle(rows):
         load_kb(io.StringIO(text))
     got = err.value
     assert (got.line_no, got.key, got.first, got.second) == want
+
+
+# The row regex reads a clean KB; _kb_rows reads any other text again, row
+# by row, and alone decides what is refused.
+
+def _row_by_row(text):
+    rows = kb_module._kb_rows(_lines(text))
+    return KnowledgeBase(starmap(VariantRecord, rows))
+
+
+def _outcome(load, text):
+    """The indexes, records and size of a load, or its error's type, line,
+    column and message."""
+    try:
+        kb = load(text)
+    except VarlexError as err:
+        return type(err), err.line_no, getattr(err, "column", None), str(err)
+    indexes = [dict(getattr(kb, "_by_" + name))
+               for name in ("rsid", "prot", "dna", "prefix")]
+    return indexes, kb.records, len(kb)
+
+
+# Cells the row regex takes as they are; a DNA cell may hold a protein
+# string and a protein cell a DNA string, so the two key spaces meet.
+_CLEAN_CELLS = (
+    ["", "rs1", "rs2", "rs12"],
+    ["", "CA1", "CA7"],
+    ["G1", "G2", "BRAF"],
+    ["", "c.1A>T", "c.2del", "p.K1N"],
+    ["", "p.K1N", "p.K1L", "p.V600E", "c.1A>T"],
+    ["", "A", "TU"],
+    ["", "T", "ACGTU"],
+)
+# Cells it does not take: padded, non-ASCII, or refused by the row check.
+_ODD_CELLS = (
+    [" rs1", "rs01", "rs1\u0662"],
+    ["CA1 ", "CB1", "\u00a0CA1"],
+    ["G1\x0c", "\u00e9", "BR AF", ""],
+    ["c.1A>T\u00e9", " c.1A>T", "c. 1A>T"],
+    ["p.K1N\u2028", "p.\u00c91N", "p.K1 N"],
+    ["a", "Q", " A"],
+    ["\u0410", "T "],
+)
+
+
+@st.composite
+def _kb_text(draw):
+    def row():
+        cells = [
+            draw(st.sampled_from(clean if draw(st.integers(0, 23)) else odd))
+            for clean, odd in zip(_CLEAN_CELLS, _ODD_CELLS)
+        ]
+        change = draw(st.sampled_from([0] * 24 + [-1, 1]))
+        return cells[:change] if change < 0 else cells + ["A"] * change
+
+    # A few rows, drawn from again, so that rows repeat and keys collide;
+    # now and then a line that is empty or holds whitespace only.
+    base = [row() for _ in range(draw(st.integers(1, 5)))]
+    if draw(st.booleans()):
+        # A twin of a row under another rs number, its HGVS cells kept or
+        # swapped: a conflict in one key space or across the two.
+        twin = list(draw(st.sampled_from(base)))
+        twin[0] = draw(st.sampled_from(["rs3", "rs31"]))
+        if len(twin) > 4 and draw(st.booleans()):
+            twin[3], twin[4] = twin[4], twin[3]
+        base.append(twin)
+    base = list(map("\t".join, base))
+    lines = draw(st.lists(st.sampled_from(base * 10 + ["", " ", "\x0c"]),
+                          max_size=14))
+    header = draw(st.sampled_from([HEADER] * 9 + [" " + HEADER]))
+    end = draw(st.sampled_from(["\n"] * 9 + ["\r\n", "\r", None]))
+    ends = [end or draw(st.sampled_from(["\n", "\r\n", "\r"]))
+            for _ in range(len(lines) + 1)]
+    last = draw(st.sampled_from(["", ends[-1]]))
+    return "".join(map("".join, zip([header, *lines], ends[:-1] + [last])))
+
+
+@given(_kb_text())
+@settings(max_examples=500, deadline=None)
+def test_regex_load_agrees_with_the_row_by_row_load(text):
+    got = _outcome(lambda t: load_kb(io.StringIO(t)), text)
+    assert got == _outcome(_row_by_row, text)
+
+
+def test_a_clean_kb_loads_without_the_row_check(tmp_path, monkeypatch):
+    # DNA forms repeat across genes, so keys hold lists and the conflict
+    # check has rows to look at; empty lines end some stretches of rows.
+    rows = [
+        f"rs{i}\tCA{i}\tG{i % 97}\tc.{i % 1000 + 1}A>T\tp.M{i}L\tA\tT"
+        + "\n" * (i % 2000 == 0)
+        for i in range(1, 5001)
+    ]
+    path = write_kb(tmp_path, rows + [""])
+
+    def refuse(line_no, cols):
+        raise AssertionError(f"line {line_no} was checked on its own")
+
+    monkeypatch.setattr(kb_module, "_check_row", refuse)
+    kb = load_kb(path)
+    assert len(kb) == 5000
+    got = kb.lookup(None, desc("c.5A>T"))
+    assert [r.rsid for r in got] == [f"rs{i}" for i in (4, 1004, 2004, 3004, 4004)]
+    assert [r.gene for r in kb.lookup("G5", desc("p.M5"))] == ["G5"]
+
+
+_PAIR = ("rs1\tCA1\tBRAF\tc.1A>T\tp.K1N\tA\tT",
+         "rs2\tCA2\tKRAS\tc.2A>T\tp.G12D\tA\tT")
+_PAIR_RECORDS = [("rs1", "CA1", "BRAF", "c.1A>T", "p.K1N", "A", "T"),
+                 ("rs2", "CA2", "KRAS", "c.2A>T", "p.G12D", "A", "T")]
+
+
+@pytest.mark.parametrize("text,want", [
+    (HEADER + "\n" + _PAIR[0] + "\n" + _PAIR[1].replace("\tKRAS", "\t KRAS")
+     + "\n", _PAIR_RECORDS),
+    (HEADER + "\r\n" + _PAIR[0] + "\r\n" + _PAIR[1] + "\r\n", _PAIR_RECORDS),
+    ("\n".join([HEADER, *_PAIR, "rs3\tCA3\tBRAF\tc.9G>C\tp.K1N\tG\tC"]) + "\n",
+     (DuplicateKey, 4,
+      "line 4: key ('BRAF', 'p.K1N') already mapped to rs1, got rs3")),
+], ids=["padded_cell", "crlf", "duplicate_key"])
+def test_texts_the_regex_cannot_vouch_for_are_read_row_by_row(
+    monkeypatch, text, want
+):
+    checked = []
+    check = kb_module._check_row
+    monkeypatch.setattr(kb_module, "_check_row",
+                        lambda line_no, cols: checked.append(line_no)
+                        or check(line_no, cols))
+    if isinstance(want, tuple):
+        with pytest.raises(want[0]) as err:
+            load_kb(io.StringIO(text))
+        assert (err.value.line_no, str(err.value)) == want[1:]
+    else:
+        records = load_kb(io.StringIO(text)).records
+        assert [dataclasses.astuple(r) for r in records] == want
+    assert checked[:2] == [2, 3]
 
 
 def _traced_load_of_5000_rows(tmp_path):

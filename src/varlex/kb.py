@@ -24,7 +24,7 @@ when a row is refused: the load builds no reference cycle, and collections
 during it would only walk the growing heap again.  The rows of one gene
 share one symbol string, an index key with one row holds the row itself,
 and only the keys holding two rows or more are sorted, so a 100,000-row KB
-keeps 53 MB live and peaks at 59 MB while it loads, the 5 MB of its text
+keeps 54 MB live and peaks at 60 MB while it loads, the 5 MB of its text
 included.
 """
 
@@ -33,9 +33,7 @@ from __future__ import annotations
 import gc
 import re
 import sys
-from collections import deque
 from dataclasses import dataclass, fields
-from functools import partial
 from itertools import chain, compress, starmap
 from operator import attrgetter, is_not, itemgetter
 from typing import Iterable, Iterator, Sequence, TextIO, Union
@@ -94,10 +92,6 @@ def _row_order(row: tuple) -> tuple:
     # CA-only rows order by accession so result lists stay reproducible.
     rsid = row[0]
     return (not rsid, len(rsid), rsid, row[1])
-
-
-# Sorts a list of rows in place, stably, by _row_order.
-_ORDER = partial(list.sort, key=_row_order)
 
 
 def _is_one_symbol(word: str) -> bool:
@@ -239,15 +233,12 @@ class KnowledgeBase:
         # Identical rows collapse to their first occurrence, and the stable
         # sort keeps file order among rows that tie: each key's part of one
         # dedup and sort of all rows.  A list is made of two rows that
-        # differ, and no two rows are identical when each has an rs number
-        # of its own.
-        distinct = len(self._by_rsid) == len(rows)
+        # differ, so only a longer one can hold a row twice.
         for lists in shared:
-            if not distinct:
-                for held in lists:
-                    if len(held) > 2:
-                        held[:] = dict.fromkeys(held)
-            deque(map(_ORDER, lists), 0)
+            for held in lists:
+                if len(held) > 2:
+                    held[:] = dict.fromkeys(held)
+                held.sort(key=_row_order)
         return True
 
     def _conflicting(
@@ -334,7 +325,6 @@ def _clean_chunks(text: str) -> Iterator[_Chunk | None]:
     if not text.startswith(head):
         yield None
         return
-    genes: dict[str, str] = {}
     start, end = len(head), len(text)
     while start < end:
         # A chunk ends at a line end, so ^ and $ hold at its edges.
@@ -354,7 +344,7 @@ def _clean_chunks(text: str) -> Iterator[_Chunk | None]:
             rsids, cas, names, dnas, prots, prefixes, refs, alts = zip(*found)
             del found
             # Many rows name one gene; they share one string.
-            names = map(genes.setdefault, names, names)
+            names = map(sys.intern, names)
             yield list(zip(rsids, cas, names, dnas, prots, refs, alts)), prefixes
         start = stop
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .hgvs import EditKind, VariantDescriptor
-from .kb import KnowledgeBase, VariantRecord
+from .kb import KnowledgeBase
 from .normalizer import IdKind, NormalizedId, _mention_gene, candidate_records
 from .recognizer import Mention
 
@@ -68,14 +68,11 @@ def group_mentions(
     mentions: list[Mention],
     ids: list[NormalizedId],
     kb: KnowledgeBase,
-    link_keys: list[list] | None = None,
 ) -> list[VariantGroup]:
     """Partition a document's mentions into identity groups.
 
     ``ids`` is the per-mention normalization result, parallel to
-    ``mentions``.  ``link_keys``, also parallel, are the mentions' KB
-    records and rendered ids when the caller has them already (see
-    :func:`_link_keys`); without them they are looked up here.  Groups
+    ``mentions``; each mention's KB records are looked up here.  Groups
     come back ordered by first member; members are index-sorted.  The
     group identifier is the most specific tier any member reached, lowest
     rendering on ties, and the group is flagged ambiguous when
@@ -97,8 +94,7 @@ def group_mentions(
         is_decided[i] = nid.kind is not IdKind.UNNORMALIZED and not (
             isinstance(d, VariantDescriptor) and d.is_incomplete
         )
-        keys = link_keys[i] if link_keys is not None else _link_keys(m, nid, kb)
-        for key in keys:
+        for key in _link_keys(m, nid, kb):
             closure.union(i, first.setdefault(key, i))
             if is_decided[i]:
                 decided.union(i, first_decided.setdefault(key, i))
@@ -156,21 +152,12 @@ def _link_prefix_classes(
             closure.union(first, j)
 
 
-def _link_keys(
-    m: Mention,
-    nid: NormalizedId,
-    kb: KnowledgeBase,
-    records: list[VariantRecord] | None = None,
-) -> list:
-    """The KB records ``m`` could mean, plus its rendered id if it has one.
-    ``records`` are a descriptor's ``candidate_records`` when the caller
-    read them already."""
+def _link_keys(m: Mention, nid: NormalizedId, kb: KnowledgeBase) -> list:
+    """The KB records ``m`` could mean, plus its rendered id if it has one."""
     if isinstance(m.descriptor, VariantDescriptor):
-        if records is None:
-            records = candidate_records(kb, _mention_gene(m), m.descriptor)
-        keys = list(records)
+        keys = candidate_records(kb, _mention_gene(m), m.descriptor)
     elif m.identifier and m.identifier.startswith("rs"):
-        keys = list(kb.lookup_rsid(m.identifier))
+        keys = kb.lookup_rsid(m.identifier)
     else:
         keys = []
     if nid.kind is not IdKind.UNNORMALIZED:

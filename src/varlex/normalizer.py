@@ -101,12 +101,11 @@ def candidate_records(
 ) -> list[VariantRecord]:
     """KB rows a mention could mean: all exact matches, narrowed to the
     gene context when that still leaves something."""
-    records = kb.lookup(None, descriptor)
     if gene:
-        scoped = [r for r in records if r.gene == gene]
+        scoped = kb.lookup(gene, descriptor)
         if scoped:
             return scoped
-    return records
+    return kb.lookup(None, descriptor)
 
 
 def _mention_gene(mention: Mention) -> str | None:
@@ -127,22 +126,14 @@ def normalize(
     narrows multiple hits, and any ambiguity left is flagged on the result.
     Incomplete mentions (no mutant allele) get no allele-specific ids.
     """
-    return _normalize(mention, kb, policy)[0]
-
-
-def _normalize(
-    mention: Mention, kb: KnowledgeBase, policy: NormalizationPolicy
-) -> tuple[NormalizedId, list[VariantRecord] | None]:
-    """``normalize``'s id, and the ``candidate_records`` it read for a
-    variant descriptor (None for any other mention)."""
     if mention.mtype is MentionType.SNP and mention.identifier:
-        return NormalizedId(IdKind.RSID, rsid=mention.identifier), None
+        return NormalizedId(IdKind.RSID, rsid=mention.identifier)
     descriptor = mention.descriptor
     if not isinstance(descriptor, VariantDescriptor):
-        return UNNORMALIZED, None
+        return UNNORMALIZED
     gene = _mention_gene(mention)
     records = candidate_records(kb, gene, descriptor)
-    return _ladder(records, gene, descriptor, policy), records
+    return _ladder(records, gene, descriptor, policy)
 
 
 def _ladder(

@@ -9,7 +9,7 @@ own KB lookups.
 
 import re
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varlex import (
@@ -101,6 +101,17 @@ def _annotate_without_memos(annotator, doc):
 
 
 @given(title=_document(), abstract=_document())
+# Repeats whose output must not depend on how many there are: an
+# incomplete protein change with no complete partner, known to the KB by its
+# prefix ("P799") and unknown to it ("Q61"), an accession, an insertion with
+# no position, and one variant with and without a gene before it.
+@example(title="P799 and P799.", abstract="Q61 and Q61; Q61.")
+@example(title="NM_004333.4 and NM_004333.4.", abstract="NM_004333.4")
+@example(
+    title="306 base pair insertion; 306 base pair insertion.",
+    abstract="A 306 base pair insertion.",
+)
+@example(title="V600E and V600E.", abstract="BRAF V600E; V600E, BRAFV600E.")
 @settings(max_examples=300, deadline=None)
 def test_memos_change_no_output(kb, lexicon, recognizer, title, abstract):
     doc = Document("d", title, abstract)

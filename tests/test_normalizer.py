@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,13 +15,15 @@ from varlex import (
     Recognizer,
     UNNORMALIZED,
     VariantRecord,
+    candidate_records,
+    classify_surface,
     normalize,
     resolve_gene_context,
 )
 from varlex.normalizer import gene_contexts
 from varlex.tokenizer import split_sentences
 
-from oracles import gene_context_oracle
+from oracles import brute_force_lookup, gene_context_oracle
 
 
 def mention_for(recognizer, text, surface=None):
@@ -148,6 +152,42 @@ def test_ambiguity_flag_when_two_genes_share_surface():
     scoped = normalize(m, kb)
     assert not scoped.ambiguous
     assert scoped.render() == "CA2"
+
+
+# Small KBs in which one DNA or protein string is named by several genes,
+# and rows repeat: a few rows drawn, then drawn from again.
+_SHARED_ROW = st.tuples(
+    st.sampled_from(["", "rs2", "rs10"]),
+    st.sampled_from(["", "CA1", "CA2"]),
+    st.sampled_from(["G1", "G2", "G3"]),
+    st.sampled_from(["", "c.1A>T", "c.2del"]),
+    st.sampled_from(["", "p.K1N", "p.K1L", "p.V600E"]),
+    st.sampled_from(["", "A"]),
+    st.sampled_from(["", "T"]),
+)
+_SHARED_KB = st.lists(_SHARED_ROW, min_size=1, max_size=6).flatmap(
+    lambda base: st.lists(st.sampled_from(base), min_size=1, max_size=12)
+)
+_FIELDS = ("rsid", "ca", "gene", "dna", "prot", "ref", "alt")
+
+
+@given(_SHARED_KB)
+@example([
+    ("rs2", "CA1", "G1", "c.1A>T", "p.K1N", "A", "T"),
+    ("rs10", "CA2", "G2", "c.1A>T", "p.K1L", "A", "T"),
+])
+@settings(max_examples=300, deadline=None)
+def test_candidate_records_scope_to_the_gene_else_fall_back(rows):
+    kb = KnowledgeBase([VariantRecord(*row) for row in rows])
+    raw = [dict(zip(_FIELDS, row)) for row in rows]
+    for surface in ("c.1A>T", "c.2del", "c.3G>C", "p.K1N", "p.K1", "p.V600E",
+                    "p.V600"):
+        descriptor = classify_surface(surface)[1]
+        for gene in (None, "", "G1", "G2", "G4"):
+            scoped = brute_force_lookup(raw, gene, descriptor) if gene else []
+            want = scoped or brute_force_lookup(raw, None, descriptor)
+            got = candidate_records(kb, gene, descriptor)
+            assert [dataclasses.astuple(r) for r in got] == want, (surface, gene)
 
 
 def test_mention_gene_hint_feeds_normalization(recognizer, kb):

@@ -1,4 +1,5 @@
-"""Annotator.annotate_all over a pool of forked worker processes."""
+"""Annotator.annotate_all over a pool of forked worker processes, and the
+stage calls behind one annotate_document."""
 
 import gc
 import multiprocessing
@@ -8,6 +9,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import varlex.pipeline
 from varlex import (
     Annotator,
     Document,
@@ -16,6 +18,8 @@ from varlex import (
     OffsetMismatch,
     Recognizer,
     read_pubtator,
+    resolve_gene_context,
+    split_sentences,
     write_pubtator,
 )
 
@@ -132,3 +136,41 @@ def test_killed_worker_fails_one_call_and_the_next_forks_anew(kb, lexicon):
         annotator.annotate_all(docs, threads=2)
     assert annotator.annotate_all(docs, threads=2) == expected
     assert not first & (_workers() - before)
+
+
+def test_stages_run_once_per_distinct_resolution(kb, lexicon, monkeypatch):
+    # Repeats within a sentence and across sentences, with and without a
+    # gene before them: protein changes, an rs number and an accession.
+    doc = Document("d", "BRAF V600E and V600E; KRAS G12D.", (
+        "V600E recurs. BRAF V600E, G12D and P799 with P799. "
+        "rs113488022 and rs113488022 and NM_004333.4 twice: NM_004333.4."
+    ))
+    annotator = Annotator(kb=kb, lexicon=lexicon)
+    text = doc.full_text
+    mentions, genes = annotator.recognizer.scan_document(text, "d")
+    sentences = split_sentences(text)
+    first = {}
+    for m in mentions:
+        gene = resolve_gene_context(m, genes, sentences)
+        first.setdefault((m.mtype, m.descriptor, m.identifier, gene), m)
+    distinct = [(m.start, m.end) for m in first.values()]
+    assert len(distinct) < len(mentions)
+
+    calls = {"normalize": [], "group_mentions": []}
+
+    def spy(name):
+        stage = getattr(varlex.pipeline, name)
+
+        def call(ms, *args, **kwargs):
+            batch = ms if isinstance(ms, list) else [ms]
+            calls[name].append([(m.start, m.end) for m in batch])
+            return stage(ms, *args, **kwargs)
+
+        monkeypatch.setattr(varlex.pipeline, name, call)
+
+    spy("normalize")
+    spy("group_mentions")
+    annotated = annotator.annotate_document(doc)
+    assert len(annotated.annotations) == len(mentions)
+    assert [span for batch in calls["normalize"] for span in batch] == distinct
+    assert calls["group_mentions"] == [distinct]

@@ -18,8 +18,8 @@ from varlex import (
     normalize,
     propagated_ids,
     resolve_gene_context,
+    split_sentences,
 )
-from varlex.tokenizer import split_sentences
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data"
 kb = load_kb(str(DATA / "kb_braf.tsv"))

@@ -47,8 +47,13 @@ from .normalizer import (
     resolve_gene_context,
 )
 from .pipeline import Annotator
-from .recognizer import GeneMention, Mention, Recognizer, split_gene_fused
-from .tokenizer import split_sentences
+from .recognizer import (
+    GeneMention,
+    Mention,
+    Recognizer,
+    split_gene_fused,
+    split_sentences,
+)
 
 __version__ = "0.1.0"
 

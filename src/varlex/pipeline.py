@@ -30,8 +30,7 @@ from .normalizer import (
     gene_contexts,
     normalize,
 )
-from .recognizer import Recognizer
-from .tokenizer import _sentence_spans
+from .recognizer import Recognizer, split_sentences
 
 # Batches smaller than this are annotated serially.  Handing out slices
 # and collecting results costs about as much as annotating four short
@@ -73,10 +72,10 @@ class Annotator:
     def annotate_document(self, doc: Document) -> Document:
         """The same document with annotations replaced by pipeline output."""
         text = doc.full_text
-        mentions, genes, table = self.recognizer._scan_document(text, doc.doc_id)
+        mentions, genes = self.recognizer._scan_document(text, doc.doc_id)
         if mentions:
             # Without a gene, no gene context reads sentences.
-            sentences = _sentence_spans(text, table) if genes else None
+            sentences = split_sentences(text) if genes else None
             contexts = gene_contexts(mentions, genes, sentences)
             for mention, gene in zip(mentions, contexts):
                 mention.gene_context = gene

@@ -13,8 +13,12 @@ covers the position, which gives exactly the matches of its own
 no pattern looks outside its match, so what a match builds follows from
 its text.  Overlapping candidates are then arbitrated by span length,
 left position, and concept-type priority, in that order, so output never
-depends on rule order or dictionary iteration.  Mention offsets are UTF-8
-byte positions into the scanned text.
+depends on rule order or dictionary iteration.
+
+Offsets throughout the package, sentence spans included, are byte offsets
+into the UTF-8 encoding of the text.  Scanning works on characters, and
+every conversion is made here, through :func:`byte_offsets`; for plain-ASCII
+text the two coordinate systems coincide.
 
 The lexicon pass reads only the runs that start with a symbol's first two
 characters, or with a one-character symbol: one search, built with the
@@ -29,6 +33,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import ParseFailure
 from .hgvs import (
@@ -44,7 +49,55 @@ from .hgvs import (
     fold,
     parse_descriptor,
 )
-from .tokenizer import byte_offsets, to_byte_span
+
+# What byte_offsets returns for a text that is not pure ASCII.
+_Offsets = Callable[[int], int]
+
+
+def byte_offsets(text: str) -> _Offsets | None:
+    """Map from character index to UTF-8 byte offset into ``text``, or None
+    when the text is pure ASCII and the map is the identity.  Each answer
+    encodes only the characters between the index last answered and the
+    new one, forward or back, so rising indexes cost one pass over the
+    text.  A lone surrogate counts 3 bytes, as ``"surrogatepass"`` has it."""
+    if text.isascii():
+        return None
+    char = byte = 0
+
+    def offset(i: int) -> int:
+        nonlocal char, byte
+        if i > char:
+            byte += len(text[char:i].encode("utf-8", "surrogatepass"))
+        elif i < char:
+            byte -= len(text[i:char].encode("utf-8", "surrogatepass"))
+        char = i
+        return byte
+
+    return offset
+
+
+def to_byte_span(offsets: _Offsets | None, start: int, end: int) -> tuple[int, int]:
+    """Convert a character span to a byte span using a byte_offsets map."""
+    if offsets is None:
+        return start, end
+    return offsets(start), offsets(end)
+
+
+# Minimal sentence rule: a period followed by whitespace and an uppercase
+# letter ends a sentence.  Anything subtler (abbreviations, initials) is out
+# of scope.
+_SENT_BREAK = re.compile(r"\.\s+(?=[A-Z])")
+
+
+def split_sentences(text: str) -> list[tuple[int, int]]:
+    """Byte spans of sentences, partitioning the whole text.  The trailing
+    whitespace of a boundary belongs to the sentence it closes."""
+    # A break ends before the uppercase letter after it, so only the empty
+    # text gives an empty piece.
+    cuts = [0, *(m.end() for m in _SENT_BREAK.finditer(text)), len(text)]
+    offsets = byte_offsets(text)
+    return [to_byte_span(offsets, s, e) for s, e in zip(cuts, cuts[1:]) if s < e]
+
 
 # A mention must not sit flush against an ASCII letter or a decimal digit
 # of any script; "SNP" inside "dbSNP2" is not a mention, nor "rs1" inside
@@ -485,13 +538,13 @@ class Recognizer:
         text: str,
         doc_id: str,
         candidates: list[_Candidate],
-        table: list[int] | None,
+        offsets: _Offsets | None,
     ) -> list[Mention]:
         mentions: list[Mention] = []
         for cand in self._resolve(candidates):
-            start, end = to_byte_span(table, cand.start, cand.end)
+            start, end = to_byte_span(offsets, cand.start, cand.end)
             components = {
-                role: to_byte_span(table, s, e)
+                role: to_byte_span(offsets, s, e)
                 for role, (s, e) in cand.components
             }
             mention = Mention(
@@ -517,20 +570,20 @@ class Recognizer:
     ) -> tuple[list[Mention], list[GeneMention]]:
         """Variant mentions and gene mentions of one text, in one pass."""
         candidates = self._rule_candidates(text, None)
-        return self._scan(text, doc_id, candidates, self._token_hits(text))[:2]
+        return self._scan(text, doc_id, candidates, self._token_hits(text))
 
     def _scan_document(
         self, text: str, doc_id: str
-    ) -> tuple[list[Mention], list[GeneMention], list[int] | None]:
-        """``scan_document`` and the text's ``byte_offsets`` table.  A text
-        without a mention gives ``([], [], None)``: the pipeline needs
-        neither its genes nor its table, so the table is not built.  A text
-        without a rule candidate holds a mention only when the lexicon
-        pass splits one of its runs into a gene and a variant."""
+    ) -> tuple[list[Mention], list[GeneMention]]:
+        """``scan_document``, except that a text without a mention gives
+        ``([], [])``: the pipeline needs no genes there, so their byte spans
+        are not worked out.  A text without a rule candidate holds a
+        mention only when the lexicon pass splits one of its runs into a
+        gene and a variant."""
         candidates = self._rule_candidates(text, None)
         hits = self._token_hits(text)
         if not candidates and not hits[1]:
-            return [], [], None
+            return [], []
         return self._scan(text, doc_id, candidates, hits)
 
     def _scan(
@@ -539,18 +592,14 @@ class Recognizer:
         doc_id: str,
         candidates: list[_Candidate],
         hits: tuple[list[tuple[str, int, int]], list[_Candidate]],
-    ) -> tuple[list[Mention], list[GeneMention], list[int] | None]:
+    ) -> tuple[list[Mention], list[GeneMention]]:
         """The mentions of the rule ``candidates`` and of the fused ones in
-        the lexicon pass's ``hits``, the genes, and the text's
-        ``byte_offsets`` table."""
+        the lexicon pass's ``hits``, and the genes."""
         gene_spans, fused = hits
         candidates.extend(fused)
-        table = byte_offsets(text)
-        return (
-            self._finalize(text, doc_id, candidates, table),
-            _gene_mentions(gene_spans, table),
-            table,
-        )
+        offsets = byte_offsets(text)
+        mentions = self._finalize(text, doc_id, candidates, offsets)
+        return mentions, _gene_mentions(gene_spans, offsets)
 
     def recognize(self, text: str, doc_id: str = "") -> list[Mention]:
         """All variant mentions in ``text``, sorted, non-overlapping."""
@@ -575,9 +624,9 @@ class Recognizer:
 
 
 def _gene_mentions(
-    gene_spans: list[tuple[str, int, int]], table: list[int] | None
+    gene_spans: list[tuple[str, int, int]], offsets: _Offsets | None
 ) -> list[GeneMention]:
     return [
-        GeneMention(symbol, *to_byte_span(table, s, e))
+        GeneMention(symbol, *to_byte_span(offsets, s, e))
         for symbol, s, e in gene_spans
     ]

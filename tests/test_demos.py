@@ -32,3 +32,12 @@ def test_readme_quick_start_prints_two_lines_ending_in_the_caid():
     lines = proc.stdout.splitlines()
     assert len(lines) == 2, proc.stdout
     assert all(line.endswith(" CA123643") for line in lines), proc.stdout
+
+
+def test_readme_layout_names_every_module():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"## Layout\n\n```\nsrc/varlex/\n(.*?)```", readme, re.DOTALL)
+    named = re.findall(r"^  (\w+\.py) ", block, re.MULTILINE)
+    # The package's __init__.py holds only its exports.
+    modules = {p.name for p in (ROOT / "src" / "varlex").glob("*.py")}
+    assert sorted(named) == sorted(modules - {"__init__.py"})

@@ -59,8 +59,12 @@ _BEFORE = [
 ]
 # What may stand after one: suffixes that lengthen or break the match.
 _AFTER = ["", "", "", " deletion", "A", ">T", "E", "/C", " of chr7:1-2"]
-# Sentence breaks put the genes around repeats into other sentences.
-_SEPS = [" ", "; ", ". ", ". The ", ", and "]
+# Sentence breaks put the genes around repeats into other sentences, and
+# characters of two to four UTF-8 bytes move the byte offsets after them.
+_SEPS = [
+    " ", "; ", ". ", ". The ", ", and ", " é ", " → ", "\u00a0", " 😀 ",
+    ". Ärzte ",
+]
 
 
 @st.composite

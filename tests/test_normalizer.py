@@ -19,9 +19,9 @@ from varlex import (
     classify_surface,
     normalize,
     resolve_gene_context,
+    split_sentences,
 )
 from varlex.normalizer import gene_contexts
-from varlex.tokenizer import split_sentences
 
 from oracles import brute_force_lookup, gene_context_oracle
 

@@ -498,9 +498,9 @@ def test_texts_without_a_rule_candidate_keep_every_gene(
     assert recognizer.find_gene_mentions(text) == genes
     scanned = recognizer._scan_document(text, "")
     if mentions:
-        assert scanned[:2] == (mentions, genes)
+        assert scanned == (mentions, genes)
     else:
-        assert scanned == ([], [], None)
+        assert scanned == ([], [])
 
 
 # Surfaces of every scanned rule, the four characters that fold to ASCII
@@ -596,7 +596,7 @@ def test_edge_cases_with_a_lexicon_match_the_oracle(recognizer, lexicon, text):
 def test_no_gene_or_fused_mention_touches_a_non_ascii_digit(recognizer):
     text = "BRAFV600E٢ and ٢BRAFV600E, BRAF٢ or ٢KRAS"
     assert recognizer.scan_document(text) == ([], [])
-    assert recognizer._scan_document(text, "") == ([], [], None)
+    assert recognizer._scan_document(text, "") == ([], [])
 
 
 @pytest.mark.parametrize("types", _TYPE_SETS.values(), ids=list(_TYPE_SETS))

@@ -1,27 +1,92 @@
+"""Text coordinates: byte offsets and sentence spans, both made in
+``varlex.recognizer``."""
+
+import tracemalloc
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varlex import split_sentences
-from varlex.tokenizer import _sentence_spans, byte_offsets, to_byte_span
+from varlex import Annotator, split_sentences
+from varlex.recognizer import byte_offsets, to_byte_span
+
+
+def _encoded(text: str, i: int) -> int:
+    return len(text[:i].encode("utf-8", "surrogatepass"))
+
+
+# Characters of one to four UTF-8 bytes, and lone surrogates.
+_CHARS = st.one_of(
+    st.characters(max_codepoint=0x7F),
+    st.characters(min_codepoint=0x80, max_codepoint=0x7FF),
+    st.characters(min_codepoint=0x800, max_codepoint=0xFFFF),
+    st.characters(min_codepoint=0x10000),
+    st.integers(0xD800, 0xDFFF).map(chr),
+)
+
+
+@st.composite
+def _text_and_spans(draw):
+    text = draw(st.text(_CHARS, max_size=60))
+    index = st.integers(0, len(text))
+    # Indexes in any order: rising, falling and repeated.
+    return text, draw(st.lists(st.tuples(index, index), max_size=20))
 
 
 def test_byte_offsets_table():
     assert byte_offsets("plain ascii") is None
-    table = byte_offsets("aβc")
-    assert table == [0, 1, 3, 4]
-    assert to_byte_span(table, 1, 2) == (1, 3)
     assert to_byte_span(None, 3, 7) == (3, 7)
+    offsets = byte_offsets("a\u03b2c")
+    # Forward, back and repeated answers from one map.
+    assert to_byte_span(offsets, 1, 2) == (1, 3)
+    assert to_byte_span(offsets, 3, 0) == (4, 0)
+    assert to_byte_span(offsets, 2, 2) == (3, 3)
+    assert to_byte_span(byte_offsets("\ud800x"), 0, 2) == (0, 4)
 
 
-@given(st.text())
-def test_byte_offsets_match_encoded_prefix_lengths(text):
-    table = byte_offsets(text)
-    if text.isascii():
-        assert table is None
-    else:
-        assert len(table) == len(text) + 1
-        for i in range(len(text) + 1):
-            assert table[i] == len(text[:i].encode("utf-8"))
+@given(_text_and_spans())
+@settings(max_examples=300)
+def test_byte_offsets_match_encoded_prefix_lengths(text_and_spans):
+    text, spans = text_and_spans
+    offsets = byte_offsets(text)
+    assert (offsets is None) == text.isascii()
+    for i, j in spans:
+        assert to_byte_span(offsets, i, j) == (_encoded(text, i), _encoded(text, j))
+
+
+def test_byte_offsets_take_no_memory_per_character():
+    # A list of one offset per character took 77 MB for this text.
+    text = "a" * 1_000_000 + "\u00e9" + "a" * 999_999
+    tracemalloc.start()
+    try:
+        offsets = byte_offsets(text)
+        spans = [to_byte_span(offsets, s, s + 5) for s in range(7, len(text), 2_000)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(spans) == 1_000
+    assert spans[0] == (7, 12) and spans[-1] == (1_998_008, 1_998_013)
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("text", [
+    "\ud800 BRAF V600E",
+    "BRAF\udfff c.1799T>A; \ud83d rs113488022.",
+    "\udc80. The KRAS G12D \udbff\ud800 and p.Val600Glu",
+], ids=["first", "after-a-gene", "around-a-break"])
+def test_lone_surrogates_count_three_bytes(recognizer, lexicon, text):
+    mentions, genes = recognizer.scan_document(text)
+    assert mentions and genes
+    assert recognizer.recognize(text) == mentions
+    for start, end, surface in [(m.start, m.end, m.text) for m in mentions] + [
+        (g.start, g.end, g.symbol) for g in genes
+    ]:
+        i = text.index(surface)
+        assert (start, end) == (_encoded(text, i), _encoded(text, i + len(surface)))
+    annotated = Annotator(lexicon=lexicon).annotate_text(text).annotations
+    assert [(a.start, a.end, a.text) for a in annotated] == [
+        (m.start, m.end, m.text) for m in mentions
+    ]
 
 
 def test_sentence_split_on_period_space_capital():
@@ -62,12 +127,13 @@ def test_sentence_spans_always_partition(text):
         assert e1 == s2
 
 
-# Non-ASCII prose with sentence breaks, genes and variant mentions.
+# Non-ASCII prose with sentence breaks, genes, variant mentions and a lone
+# surrogate.
 _PROSE = st.lists(
     st.sampled_from([
         "BRAF", "V600E", "c.1799T>A", "rs113488022", "p.Val600Glu", "We",
-        "saw", "The", "Müller", "α-helix", "→", "😀", "ſerine", ". ", ".",
-        " ", "\n",
+        "saw", "The", "Müller", "α-helix", "→", "😀", "ſerine", "\udc00", ". ",
+        ".", " ", "\n",
     ]),
     min_size=1, max_size=40,
 ).map("".join).filter(lambda text: not text.isascii())
@@ -75,21 +141,17 @@ _PROSE = st.lists(
 
 @given(_PROSE)
 @settings(max_examples=200)
-def test_shared_byte_table_serves_scan_and_sentence_split(recognizer, text):
-    # The pipeline takes the scan's table for the sentence split, so it
-    # must be the text's own; a text without a mention gets none.
-    mentions, genes, table = recognizer._scan_document(text, "d")
-    if mentions:
-        assert table == byte_offsets(text)
-        assert (mentions, genes) == recognizer.scan_document(text, "d")
-    else:
-        assert (genes, table) == ([], None)
-        assert recognizer.scan_document(text, "d")[0] == []
-        table = byte_offsets(text)
-    spans = _sentence_spans(text, table)
-    assert spans == split_sentences(text)
-    data = text.encode("utf-8")
-    pieces = [data[s:e].decode("utf-8") for s, e in spans]
+def test_scan_shortcut_and_sentence_split_on_non_ascii_prose(recognizer, text):
+    # The pipeline's scan is the public one, except that a text without a
+    # mention gives no genes.
+    mentions, genes = recognizer.scan_document(text, "d")
+    expected = (mentions, genes) if mentions else ([], [])
+    assert recognizer._scan_document(text, "d") == expected
+    data = text.encode("utf-8", "surrogatepass")
+    pieces = [
+        data[s:e].decode("utf-8", "surrogatepass")
+        for s, e in split_sentences(text)
+    ]
     assert "".join(pieces) == text
     for piece, following in zip(pieces, pieces[1:]):
         assert piece.rstrip()[-1] == "." and piece[-1].isspace()

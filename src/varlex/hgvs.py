@@ -157,8 +157,6 @@ def fold(text: str) -> str:
     the Kelvin sign already lowers to ``k``.
     """
     low = text.lower()
-    if low.isascii():
-        return low
     for lowered, letter in _FOLDS:
         low = low.replace(lowered, letter)
     return low
@@ -495,6 +493,8 @@ class GrammarRule:
     For a case-sensitive rule they are exact-case and tested against the
     raw text; for an ``re.IGNORECASE`` rule they are lower-case and tested
     against :func:`fold` of the text.  A rule with no triggers always runs.
+    No trigger is a proper prefix of another trigger sought in the same
+    text, so at most one starts at any position.
     ``starts`` lists the characters a scan match can begin with and
     ``seconds`` those its second character can be, so the recognizer tries
     the rule only at word starts holding one of the first followed by one
@@ -929,7 +929,7 @@ GRAMMAR_RULES: tuple[GrammarRule, ...] = (
         r"chromosome\s+(?P<chrom>[1-9][0-9]?|[XYxy])\s+(?P<arm>[pq])\s*"
         r"(?P<band>%s)" % _BAND,
         flags=re.IGNORECASE,
-        triggers=("chromosome",),
+        triggers=("chr",),
         starts="c",
         seconds="h",
     ),

@@ -190,20 +190,13 @@ class KnowledgeBase:
 
     def __init__(self, records: Iterable[VariantRecord]):
         records = tuple(records)
-        self._build(_chunks_of(list(map(_ROW_OF, records))), check=False)
+        self._build(_chunks_of(list(map(_ROW_OF, records))))
         self._records: tuple[VariantRecord, ...] | None = records
 
-    @classmethod
-    def _of_chunks(
-        cls, chunks: Iterable[_Chunk | None], check: bool
-    ) -> KnowledgeBase | None:
-        kb = cls.__new__(cls)
-        return kb if kb._build(chunks, check) else None
-
-    def _build(self, chunks: Iterable[_Chunk | None], check: bool) -> bool:
-        """Index the rows of the chunks, which come in file order.  False,
-        leaving the build, at a chunk that is None or, with ``check``, when
-        one (gene, HGVS) key claims two rs numbers."""
+    def _build(self, chunks: Iterable[_Chunk]) -> tuple[list[list[_Row]], ...]:
+        """Index the rows of the chunks, which come in file order.  Gives,
+        per index (rs number, protein, DNA, prefix), the lists its keys
+        hold, for the conflict check."""
         self._records = None
         self._rows: list[_Row] = []
         self._by_rsid: _Index = {}
@@ -217,10 +210,7 @@ class KnowledgeBase:
         # a time, those with a key for nearly every row first: a dict that
         # grows holds its old and new tables at once, and that costs least
         # while the dicts after it do not exist yet.
-        for chunk in chunks:
-            if chunk is None:
-                return False
-            rows, prefixes = chunk
+        for rows, prefixes in chunks:
             self._rows += rows
             _add(self._by_prefix, shared[3], prefixes, rows)
         rows = self._rows
@@ -228,8 +218,6 @@ class KnowledgeBase:
             (self._by_rsid, self._by_prot, self._by_dna), shared, (0, 4, 3)
         ):
             _add(index, lists, list(map(itemgetter(column), rows)), rows)
-        if check and self._conflicting(shared[2], shared[1]):
-            return False
         # Identical rows collapse to their first occurrence, and the stable
         # sort keeps file order among rows that tie: each key's part of one
         # dedup and sort of all rows.  A list is made of two rows that
@@ -239,16 +227,16 @@ class KnowledgeBase:
                 if len(held) > 2:
                     held[:] = dict.fromkeys(held)
                 held.sort(key=_row_order)
-        return True
+        return shared
 
     def _conflicting(
-        self, dna_lists: list[list[_Row]], prot_lists: list[list[_Row]]
+        self, prot_lists: list[list[_Row]], dna_lists: list[list[_Row]]
     ) -> bool:
         """Whether one (gene, HGVS) key claims two rs numbers.  Such a key
-        holds a list in the DNA or the protein index, whose lists are given,
+        holds a list in the protein or the DNA index, whose lists are given,
         or is a key of both, since the two forms share one key space."""
         dna, prot = self._by_dna, self._by_prot
-        return any(map(_names_two_rsids, chain(dna_lists, prot_lists))) or any(
+        return any(map(_names_two_rsids, chain(prot_lists, dna_lists))) or any(
             _names_two_rsids([*_rows_of(dna[key]), *_rows_of(prot[key])])
             for key in dna.keys() & prot.keys()
         )
@@ -301,30 +289,40 @@ def load_kb(source: Union[str, TextIO]) -> KnowledgeBase:
     gc.disable()
     try:
         text = _read_text(source)
-        kb = KnowledgeBase._of_chunks(_clean_chunks(text), check=True)
-        if kb is None:
-            # The text goes once it is split, and the lines once checked.
-            lines = _lines(text)
-            del text
-            rows = _kb_rows(lines)
-            del lines
-            kb = KnowledgeBase._of_chunks(_chunks_of(rows), check=False)
+        kb = KnowledgeBase.__new__(KnowledgeBase)
+        try:
+            if not kb._conflicting(*kb._build(_clean_chunks(text))[1:3]):
+                return kb
+        except _Unclean:
+            pass
+        # What the regex read goes, the text once it is split, and the lines
+        # once checked.
+        del kb
+        lines = _lines(text)
+        del text
+        rows = _kb_rows(lines)
+        del lines
+        kb = KnowledgeBase.__new__(KnowledgeBase)
+        kb._build(_chunks_of(rows))
         return kb
     finally:
         if enabled:
             gc.enable()
 
 
-def _clean_chunks(text: str) -> Iterator[_Chunk | None]:
+class _Unclean(Exception):
+    """A KB text holds a line the row regex does not take."""
+
+
+def _clean_chunks(text: str) -> Iterator[_Chunk]:
     r"""The rows of a KB text, a chunk at a time, each row as _check_row
-    would give it, with their prefixes; or, at the first chunk holding a
-    line the row regex does not take, None.  No cell holds a ``\r``, so a
-    line holding one is not taken, and a text that does not start with the
-    bare header line gives None at once."""
+    would give it, with their prefixes.  Raises _Unclean at the first chunk
+    holding a line the row regex does not take.  No cell holds a ``\r``, so
+    a line holding one is not taken, and a text that does not start with
+    the bare header line raises at once."""
     head = "\t".join(KB_HEADER) + "\n"
     if not text.startswith(head):
-        yield None
-        return
+        raise _Unclean
     start, end = len(head), len(text)
     while start < end:
         # A chunk ends at a line end, so ^ and $ hold at its edges.
@@ -338,8 +336,7 @@ def _clean_chunks(text: str) -> Iterator[_Chunk | None]:
         else:
             lines -= len(_EMPTY_LINE_RX.findall(text, start, stop))
         if len(found) != lines:
-            yield None
-            return
+            raise _Unclean
         if found:
             rsids, cas, names, dnas, prots, prefixes, refs, alts = zip(*found)
             del found

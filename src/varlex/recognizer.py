@@ -50,18 +50,15 @@ from .hgvs import (
     parse_descriptor,
 )
 
-# What byte_offsets returns for a text that is not pure ASCII.
-_Offsets = Callable[[int], int]
-
-
-def byte_offsets(text: str) -> _Offsets | None:
-    """Map from character index to UTF-8 byte offset into ``text``, or None
-    when the text is pure ASCII and the map is the identity.  Each answer
-    encodes only the characters between the index last answered and the
-    new one, forward or back, so rising indexes cost one pass over the
-    text.  A lone surrogate counts 3 bytes, as ``"surrogatepass"`` has it."""
+def byte_offsets(text: str) -> Callable[[int], int]:
+    """Map from character index to UTF-8 byte offset into ``text``.  For
+    pure-ASCII text the map is the identity, the builtin ``int``.  Otherwise
+    each answer encodes only the characters between the index last answered
+    and the new one, forward or back, so rising indexes cost one pass over
+    the text.  A lone surrogate counts 3 bytes, as ``"surrogatepass"`` has
+    it."""
     if text.isascii():
-        return None
+        return int
     char = byte = 0
 
     def offset(i: int) -> int:
@@ -74,13 +71,6 @@ def byte_offsets(text: str) -> _Offsets | None:
         return byte
 
     return offset
-
-
-def to_byte_span(offsets: _Offsets | None, start: int, end: int) -> tuple[int, int]:
-    """Convert a character span to a byte span using a byte_offsets map."""
-    if offsets is None:
-        return start, end
-    return offsets(start), offsets(end)
 
 
 # Minimal sentence rule: a period followed by whitespace and an uppercase
@@ -96,7 +86,7 @@ def split_sentences(text: str) -> list[tuple[int, int]]:
     # text gives an empty piece.
     cuts = [0, *(m.end() for m in _SENT_BREAK.finditer(text)), len(text)]
     offsets = byte_offsets(text)
-    return [to_byte_span(offsets, s, e) for s, e in zip(cuts, cuts[1:]) if s < e]
+    return [(offsets(s), offsets(e)) for s, e in zip(cuts, cuts[1:]) if s < e]
 
 
 # A mention must not sit flush against an ASCII letter or a decimal digit
@@ -187,16 +177,14 @@ def _triggers_finder(triggers: set[str]) -> re.Pattern:
     ))
 
 
-def _present_triggers(
-    finder: re.Pattern, prefixes: dict[str, tuple[str, ...]], haystack: str
-) -> set[str]:
-    """The triggers ``haystack`` holds: at each position where one starts,
-    the longest there, found by ``finder``, and those that are prefixes of
-    it."""
+def _present_triggers(finder: re.Pattern, haystack: str) -> set[str]:
+    """The triggers ``haystack`` holds, found by ``finder`` and searched
+    again from the position after each one's start.  No trigger is a prefix
+    of another (see GrammarRule), so at most one starts at a position."""
     present: set[str] = set()
     m = finder.search(haystack)
     while m is not None:
-        present.update(prefixes[m.group()])
+        present.add(m.group())
         m = finder.search(haystack, m.start() + 1)
     return present
 
@@ -375,18 +363,8 @@ class Recognizer:
                 re.escape(starts), re.escape(seconds), seconds,
             ))
             (folded if folds else raw).update(rule.triggers)
-        # Per kind of text, its triggers' finder and the triggers that are
-        # prefixes of each.
-        self._trigger_finders = tuple(
-            (
-                _triggers_finder(triggers),
-                {
-                    t: tuple(p for p in triggers if t.startswith(p))
-                    for t in triggers
-                },
-            )
-            for triggers in (raw, folded)
-        )
+        # The finders of the triggers of the raw text and of its fold.
+        self._trigger_finders = tuple(map(_triggers_finder, (raw, folded)))
 
     # -- candidate generation ----------------------------------------------
 
@@ -394,11 +372,8 @@ class Recognizer:
         self, text: str, types: frozenset[MentionType] | None
     ) -> list[_Candidate]:
         # The triggers the text holds, and those its fold holds.
-        in_text, in_folded = (
-            _present_triggers(finder, prefixes, haystack)
-            for (finder, prefixes), haystack in zip(
-                self._trigger_finders, (text, fold(text))
-            )
+        in_text, in_folded = map(
+            _present_triggers, self._trigger_finders, (text, fold(text))
         )
         scanners = self._scanners
         # Per scanner, the second characters it takes here; none when it is
@@ -538,13 +513,13 @@ class Recognizer:
         text: str,
         doc_id: str,
         candidates: list[_Candidate],
-        offsets: _Offsets | None,
+        offsets: Callable[[int], int],
     ) -> list[Mention]:
         mentions: list[Mention] = []
         for cand in self._resolve(candidates):
-            start, end = to_byte_span(offsets, cand.start, cand.end)
+            start, end = offsets(cand.start), offsets(cand.end)
             components = {
-                role: to_byte_span(offsets, s, e)
+                role: (offsets(s), offsets(e))
                 for role, (s, e) in cand.components
             }
             mention = Mention(
@@ -624,9 +599,8 @@ class Recognizer:
 
 
 def _gene_mentions(
-    gene_spans: list[tuple[str, int, int]], offsets: _Offsets | None
+    gene_spans: list[tuple[str, int, int]], offsets: Callable[[int], int]
 ) -> list[GeneMention]:
     return [
-        GeneMention(symbol, *to_byte_span(offsets, s, e))
-        for symbol, s, e in gene_spans
+        GeneMention(symbol, offsets(s), offsets(e)) for symbol, s, e in gene_spans
     ]

@@ -456,23 +456,36 @@ _TRIGGER_PIECES = sorted({
 ]
 
 
+# The triggers sought in the raw text and those sought in its fold.
+_RAW_TRIGGERS = {
+    t for r in _SCANNED_RULES if not r.flags & re.IGNORECASE for t in r.triggers
+}
+_FOLDED_TRIGGERS = {
+    t for r in _SCANNED_RULES if r.flags & re.IGNORECASE for t in r.triggers
+}
+
+
+@pytest.mark.parametrize("triggers", [_RAW_TRIGGERS, _FOLDED_TRIGGERS],
+                         ids=["case-sensitive", "ignorecase"])
+def test_no_trigger_is_a_prefix_of_another(triggers):
+    # The premise _present_triggers stands on: at most one trigger starts
+    # at a position, so the finder's match there is the only one.
+    assert triggers
+    assert not [(a, b) for a in triggers for b in triggers
+                if a != b and b.startswith(a)]
+
+
 @given(st.lists(st.tuples(st.sampled_from(_TRIGGER_PIECES),
                           st.sampled_from(["", "", " ", ".", "s"])),
                 max_size=10))
 @settings(max_examples=300, deadline=None)
 def test_trigger_gate_finds_exactly_the_triggers_present(recognizer, pieces):
     text = "".join(piece + sep for piece, sep in pieces)
-    kinds = list(zip(recognizer._trigger_finders, (text, fold(text))))
-    for (finder, prefixes), haystack in kinds:
-        want = {t for t in prefixes if t in haystack}
-        assert _present_triggers(finder, prefixes, haystack) == want
-    # The two kinds together hold every trigger of every scanned rule.
-    folding = {
-        t for r in _SCANNED_RULES if r.flags & re.IGNORECASE for t in r.triggers
-    }
-    raw = {t for r in _SCANNED_RULES if not r.flags & re.IGNORECASE
-           for t in r.triggers}
-    assert [set(p) for _, p in recognizer._trigger_finders] == [raw, folding]
+    kinds = zip(recognizer._trigger_finders, (_RAW_TRIGGERS, _FOLDED_TRIGGERS),
+                (text, fold(text)))
+    for finder, triggers, haystack in kinds:
+        want = {t for t in triggers if t in haystack}
+        assert _present_triggers(finder, haystack) == want
 
 
 # Gene symbols (with and without digits), fused tokens that split and that

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varlex import Annotator, split_sentences
-from varlex.recognizer import byte_offsets, to_byte_span
+from varlex.recognizer import byte_offsets
 
 
 def _encoded(text: str, i: int) -> int:
@@ -34,14 +34,16 @@ def _text_and_spans(draw):
 
 
 def test_byte_offsets_table():
-    assert byte_offsets("plain ascii") is None
-    assert to_byte_span(None, 3, 7) == (3, 7)
+    # ASCII text maps each index to itself.
+    identity = byte_offsets("plain ascii")
+    assert [identity(i) for i in (0, 3, 7, 11)] == [0, 3, 7, 11]
     offsets = byte_offsets("a\u03b2c")
     # Forward, back and repeated answers from one map.
-    assert to_byte_span(offsets, 1, 2) == (1, 3)
-    assert to_byte_span(offsets, 3, 0) == (4, 0)
-    assert to_byte_span(offsets, 2, 2) == (3, 3)
-    assert to_byte_span(byte_offsets("\ud800x"), 0, 2) == (0, 4)
+    assert (offsets(1), offsets(2)) == (1, 3)
+    assert (offsets(3), offsets(0)) == (4, 0)
+    assert (offsets(2), offsets(2)) == (3, 3)
+    surrogate = byte_offsets("\ud800x")
+    assert (surrogate(0), surrogate(2)) == (0, 4)
 
 
 @given(_text_and_spans())
@@ -49,9 +51,10 @@ def test_byte_offsets_table():
 def test_byte_offsets_match_encoded_prefix_lengths(text_and_spans):
     text, spans = text_and_spans
     offsets = byte_offsets(text)
-    assert (offsets is None) == text.isascii()
     for i, j in spans:
-        assert to_byte_span(offsets, i, j) == (_encoded(text, i), _encoded(text, j))
+        assert (offsets(i), offsets(j)) == (_encoded(text, i), _encoded(text, j))
+        if text.isascii():
+            assert (offsets(i), offsets(j)) == (i, j)
 
 
 def test_byte_offsets_take_no_memory_per_character():
@@ -60,7 +63,7 @@ def test_byte_offsets_take_no_memory_per_character():
     tracemalloc.start()
     try:
         offsets = byte_offsets(text)
-        spans = [to_byte_span(offsets, s, s + 5) for s in range(7, len(text), 2_000)]
+        spans = [(offsets(s), offsets(s + 5)) for s in range(7, len(text), 2_000)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -38,13 +38,24 @@ class Document:
 
 
 def _read_text(source: Union[str, TextIO]) -> str:
-    """The whole text of a file path, or of a stream the caller keeps open."""
-    if not isinstance(source, str):
-        return source.read()
+    """The whole text of a file path, or of a stream the caller keeps open.
+    Bytes that are not UTF-8 make it unreadable, and for a path the error
+    names their line, counted as _lines counts."""
     try:
+        if not isinstance(source, str):
+            return source.read()
         with open(source, "r", encoding="utf-8") as fh:
             return fh.read()
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 (byte {exc.object[exc.start]:#04x})"
+        if not isinstance(source, str):
+            raise FileUnreadable(getattr(source, "name", "<stream>"), reason) from None
+        # read() decodes all of a file at once, so the error holds its bytes.
+        line = len(_lines(exc.object[:exc.start].decode("utf-8")))
+        raise FileUnreadable(source, f"line {line} is {reason}") from None
     except OSError as exc:
+        if not isinstance(source, str):
+            raise
         raise FileUnreadable(source, str(exc)) from exc
 
 

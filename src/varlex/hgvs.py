@@ -965,12 +965,17 @@ def parse_descriptor(surface: str, hint: MentionType) -> Descriptor:
     Raises :class:`ParseFailure` naming the first offending character when
     no rule for the type matches the whole string.
     """
+    return _parse(surface, hint)[0]
+
+
+def _parse(surface: str, hint: MentionType) -> tuple[Descriptor, re.Match]:
+    """``parse_descriptor``'s descriptor, and the match it was built from."""
     if hint in IDENTIFIER_TYPES:
         raise ValueError(f"{hint.name} mentions carry identifiers; "
                          "use classify_surface")
     rule, m = next(_full_matches(surface, RULES_BY_TYPE[hint]))
     try:
-        return rule.build(m)
+        return rule.build(m), m
     except ValueError as exc:
         raise ParseFailure(surface, 0, str(exc)) from exc
 

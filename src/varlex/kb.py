@@ -295,8 +295,7 @@ def load_kb(source: Union[str, TextIO]) -> KnowledgeBase:
                 return kb
         except _Unclean:
             pass
-        # What the regex read goes, the text once it is split, and the lines
-        # once checked.
+        # The regex's rows go, then the text once split, the lines once checked.
         del kb
         lines = _lines(text)
         del text

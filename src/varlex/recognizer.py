@@ -45,10 +45,11 @@ from .hgvs import (
     MentionType,
     TYPE_PRIORITY,
     _OTHER_CASES,
+    _parse,
     classify_descriptor,
     fold,
-    parse_descriptor,
 )
+
 
 def byte_offsets(text: str) -> Callable[[int], int]:
     """Map from character index to UTF-8 byte offset into ``text``.  For
@@ -291,13 +292,15 @@ def split_gene_fused(
     Each call makes one pass over the lexicon for its longest symbol; a
     ``Recognizer`` makes that pass once, when it is built.
     """
-    return _split_fused(token_text, lexicon, max(map(len, lexicon), default=0))
+    split = _split_fused(token_text, lexicon, max(map(len, lexicon), default=0))
+    return split and split[:3]
 
 
 def _split_fused(
     run: str, lexicon: frozenset[str], longest: int
-) -> tuple[str, Descriptor, int] | None:
-    """``split_gene_fused`` with the length of the longest symbol given."""
+) -> tuple[str, Descriptor, int, re.Match] | None:
+    """``split_gene_fused`` with the length of the longest symbol given,
+    and the match of the remainder the descriptor was built from."""
     # No prefix longer than the longest symbol can be a gene, so a long run
     # costs one slice per possible gene length, not one per character.
     for cut in range(min(len(run) - 1, longest), 0, -1):
@@ -307,10 +310,10 @@ def _split_fused(
         remainder = run[cut:]
         for hint in _FUSED_HINTS:
             try:
-                descriptor = parse_descriptor(remainder, hint)
+                descriptor, m = _parse(remainder, hint)
             except ParseFailure:
                 continue
-            return prefix, descriptor, cut
+            return prefix, descriptor, cut, m
     return None
 
 
@@ -372,9 +375,8 @@ class Recognizer:
         self, text: str, types: frozenset[MentionType] | None
     ) -> list[_Candidate]:
         # The triggers the text holds, and those its fold holds.
-        in_text, in_folded = map(
-            _present_triggers, self._trigger_finders, (text, fold(text))
-        )
+        in_text, in_folded = map(_present_triggers, self._trigger_finders,
+                                 (text, fold(text)))
         scanners = self._scanners
         # Per scanner, the second characters it takes here; none when it is
         # not in play.
@@ -467,18 +469,16 @@ class Recognizer:
             split = _split_fused(run, self.lexicon, self._longest)
             if split is None:
                 continue
-            gene, descriptor, cut = split
-            genes.append((gene, m.start(), m.start() + cut))
-            fused.append(
-                _Candidate(
-                    m.start() + cut,
-                    m.end(),
-                    classify_descriptor(descriptor),
-                    descriptor,
-                    (),
-                    gene_hint=gene,
-                )
-            )
+            gene, descriptor, cut, parsed = split
+            at = m.start() + cut
+            genes.append((gene, m.start(), at))
+            # The remainder's role spans, moved to where it starts.
+            roles = [(GROUP_ROLES[g], g) for g in parsed.re.groupindex
+                     if g in GROUP_ROLES]
+            components = tuple([(role, (at + s, at + e))
+                                for role, (s, e) in _components(roles, parsed)])
+            fused.append(_Candidate(at, m.end(), classify_descriptor(descriptor),
+                                    descriptor, components, gene_hint=gene))
         return genes, fused
 
     # -- arbitration ---------------------------------------------------------

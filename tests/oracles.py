@@ -18,6 +18,7 @@ from varlex import (
     EditKind,
     GeneMention,
     Mention,
+    MentionType,
     ParseFailure,
     RegionDescriptor,
     RegionKind,
@@ -231,6 +232,31 @@ def rule_candidates_oracle(text: str, types=None) -> list[tuple]:
     return candidates
 
 
+def fused_components(remainder: str) -> dict:
+    """The role spans, within a fused run's variant ``remainder``, of the
+    match a descriptor is built from: under each fused grammar in turn
+    (protein, then DNA mutations), the first of its rules in
+    ``GRAMMAR_RULES`` order whose pattern matches all of the remainder, and
+    the next grammar when building from that match fails."""
+    for hint in (MentionType.PROTEIN_MUTATION, MentionType.DNA_MUTATION):
+        for rule in GRAMMAR_RULES:
+            if rule.mtype is not hint:
+                continue
+            m = re.fullmatch(rule.pattern, remainder, rule.flags)
+            if m is None:
+                continue
+            try:
+                rule.build(m)
+            except (ValueError, ParseFailure):
+                break
+            return {
+                GROUP_ROLES[g]: m.span(g)
+                for g in m.re.groupindex
+                if g in GROUP_ROLES and m.start(g) != m.end(g)
+            }
+    return {}
+
+
 def scan_every_rule(
     text: str, lexicon: frozenset[str] | None = None, doc_id: str = ""
 ) -> tuple[list[Mention], list[GeneMention]]:
@@ -259,8 +285,13 @@ def scan_every_rule(
         if split is not None:
             gene, descriptor, cut = split
             genes.append((gene, start, start + cut))
-            candidates.append((start + cut, end,
-                               classify_descriptor(descriptor), descriptor, {}, gene))
+            at = start + cut
+            components = {
+                role: (at + s, at + e)
+                for role, (s, e) in fused_components(run[cut:]).items()
+            }
+            candidates.append((at, end, classify_descriptor(descriptor),
+                               descriptor, components, gene))
 
     mentions = []
     for start, end, mtype, built, components, hint in arbitrate(candidates):

@@ -8,12 +8,15 @@ from varlex import (
     Document,
     FileUnreadable,
     VarlexError,
+    load_genes,
+    load_kb,
     read_pubtator,
     read_pubtator_text,
     write_pubtator,
 )
 from varlex import cli
 from varlex.cli import main
+from varlex.kb import KB_HEADER
 
 from conftest import data_path
 from test_errors import _subclasses
@@ -251,6 +254,42 @@ def test_annotate_bad_policy_is_exit_1(corpus_file, capsys):
         ["annotate", str(corpus_file), "--policy", "bogus"], capsys
     )
     assert code == 1
+
+
+# Per kind of input file: a text holding a byte that is not UTF-8, the
+# line it is on, its loader, and the options that hand it to annotate.
+# Line 1 ends in "\r\n" or "\r" in two of them, one line end each; the
+# long lexicon puts the byte past the first 64 KB.
+_NOT_UTF8 = {
+    "kb": ("\t".join(KB_HEADER).encode() + b"\r\nrs1\tCA1\tBR\xffAF\tc.1A>T"
+           b"\t\tA\tT\n", 2, load_kb, ["--kb"]),
+    "lexicon": (b"BRAF\rKR\xffAS\n", 2, load_genes, ["--genes"]),
+    "long_lexicon": (b"BRAF\n" * 20_000 + b"KR\xffAS\n", 20_001, load_genes,
+                     ["--genes"]),
+    "pubtator": (b"1|t|Title\n1|a|Ab\xffstract\n\n", 2, read_pubtator, []),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NOT_UTF8))
+def test_a_file_that_is_not_utf8_names_its_path_and_line(kind, tmp_path,
+                                                         capsys):
+    data, line, load, option = _NOT_UTF8[kind]
+    path = tmp_path / f"{kind}.txt"
+    path.write_bytes(data)
+    message = f"cannot read {path}: line {line} is not UTF-8 (byte 0xff)"
+    with pytest.raises(FileUnreadable) as err:
+        load(str(path))
+    assert (err.value.path, str(err.value)) == (str(path), message)
+    # A stream is named by its name, without the line.
+    with open(path, encoding="utf-8") as fh, pytest.raises(FileUnreadable) as err:
+        load(fh)
+    assert str(err.value) == f"cannot read {path}: not UTF-8 (byte 0xff)"
+    corpus = data_path("sample_corpus.txt")
+    annotate = ["annotate", *option, str(path), corpus] if option else [
+        "annotate", str(path)]
+    for argv in (annotate, ["evaluate", str(path), corpus]):
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (2, "", f"varlex: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -413,6 +413,23 @@ def test_regex_load_agrees_with_the_row_by_row_load(text):
     assert got == _outcome(_row_by_row, text)
 
 
+@pytest.mark.parametrize("flaw", ["padded_last_cell", "conflict_a_chunk_on"])
+def test_regex_load_agrees_with_the_row_by_row_load_across_chunks(flaw):
+    # Rows enough for three chunks; the one flaw sits past the first.
+    rows = [f"rs{i}\tCA{i}\tG{i % 97}\tc.{i}A>T\tp.M{i}L\tA\tT"
+            for i in range(1, 4001)]
+    if flaw == "padded_last_cell":
+        rows[-1] = rows[-1].replace("\tG", "\t G", 1)
+    else:
+        # Row 1's (gene, DNA) key under another rs number.
+        rows.append("rs9999\tCA9999\tG1\tc.1A>T\t\tA\tT")
+    text = "\n".join([HEADER, *rows]) + "\n"
+    assert text.index(rows[-1]) > kb_module._CHUNK
+    got = _outcome(lambda t: load_kb(io.StringIO(t)), text)
+    assert got == _outcome(_row_by_row, text)
+    assert (got[0] is DuplicateKey) == (flaw == "conflict_a_chunk_on")
+
+
 def test_a_clean_kb_loads_without_the_row_check(tmp_path, monkeypatch):
     # DNA forms repeat across genes, so keys hold lists and the conflict
     # check has rows to look at; empty lines end some stretches of rows.

@@ -146,6 +146,19 @@ def test_fused_gene_token_splits(recognizer):
     assert GeneMention("BRAF", 4, 8) in genes
 
 
+def test_fused_mention_carries_its_components():
+    text = "BRAFV600E and V600E"
+    fused, alone = Recognizer(frozenset({"BRAF"})).recognize(text)
+    assert (fused.text, fused.gene_hint, alone.text) == ("V600E", "BRAF", "V600E")
+    parts = {role: text[s:e] for role, (s, e) in fused.components.items()}
+    assert parts == {ComponentRole.WILDTYPE: "V", ComponentRole.POSITION: "600",
+                     ComponentRole.MUTANT: "E"}
+    shift = alone.start - fused.start
+    assert alone.components == {
+        role: (s + shift, e + shift) for role, (s, e) in fused.components.items()
+    }
+
+
 def test_fused_split_prefers_longest_gene():
     lexicon = frozenset({"BRAF", "BRAFV"})
     # BRAFV is also a listed symbol, but the remainder "600E" is not a
